@@ -1,7 +1,8 @@
 // Shared helpers for the benchmark binaries: wall-clock timing and
 // uniform PASS/DIVERGE verdict lines. Each bench prints the rows of the
 // paper artifact it regenerates plus a verdict comparing the measured
-// shape against the paper's claim; EXPERIMENTS.md collects the output.
+// shape against the paper's claim; the README's sections quote the
+// output.
 
 #ifndef TREX_BENCH_BENCH_UTIL_H_
 #define TREX_BENCH_BENCH_UTIL_H_

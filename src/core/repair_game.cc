@@ -242,6 +242,21 @@ bool BlackBoxRepair::Outcome(const Table& repaired,
   return got == info.clean_value;
 }
 
+std::uint64_t BlackBoxRepair::FullMask() const {
+  return dcs_.size() == kMaxMaskConstraints
+             ? ~std::uint64_t{0}
+             : (std::uint64_t{1} << dcs_.size()) - 1;
+}
+
+bool BlackBoxRepair::ReferenceHit(std::size_t target_index) const {
+  // Counted like a memo hit on an entry written before any request.
+  state_->hits.fetch_add(1);
+  if (state_->current_request.load() != 0) {
+    state_->cross_request_hits.fetch_add(1);
+  }
+  return Outcome(clean_, target_index);
+}
+
 std::size_t BlackBoxRepair::EntryPayloadBytes(const CacheEntry& entry) const {
   return sizeof(CacheEntry) + TableHeapBytes(entry.input) +
          TableHeapBytes(entry.repaired) +
@@ -299,6 +314,8 @@ bool BlackBoxRepair::EvalConstraintSubset(std::uint64_t mask,
       << "constraint subset masks support at most 64 constraints; "
       << "split the DcSet or extend the mask representation";
   TREX_CHECK_LT(target_index, targets_.size());
+  // The grand coalition is the reference repair: Subset(all) == dcs_.
+  if (cache_enabled_ && mask == FullMask()) return ReferenceHit(target_index);
   if (cache_enabled_) {
     ReaderLock lock(state_->mu);
     auto it = state_->mask_cache.find(mask);
@@ -475,6 +492,8 @@ bool BlackBoxRepair::EvalPerturbation(std::span<const CellWrite> writes,
                                       const Hash128& fp128,
                                       std::size_t target_index) const {
   TREX_CHECK_LT(target_index, targets_.size());
+  // No writes: the dirty table itself, whose repair is the reference.
+  if (cache_enabled_ && writes.empty()) return ReferenceHit(target_index);
   if (table_bucket_fn_) {
     // The test-only bucket override takes a table; materialize eagerly.
     return EvalTable(MaterializeScratch(writes), target_index);

@@ -20,7 +20,11 @@
 // `Table::Fingerprint`). One cached repair run answers the
 // characteristic function for *every* registered target — this is what
 // lets `Engine::ExplainBatch` share one box across a multi-target
-// batch. Entries live in one of two representations:
+// batch. The reference repair answers the two evaluations whose input
+// is its own — the full constraint mask (`dcs_.Subset(all) == dcs_`) and
+// a perturbation with no writes — from `reference_clean()`, counted as
+// memo hits, so they never re-run the algorithm. Entries live in one of
+// two representations:
 //
 //   * UNSEALED (the default): an entry retains the full repaired
 //     `Table` (plus, under full-content verification, the input copy),
@@ -373,6 +377,15 @@ class BlackBoxRepair {
   void EvictLruTableEntry() const REQUIRES(state_->mu);
 
   bool Outcome(const Table& repaired, std::size_t target_index) const;
+
+  /// The mask selecting every constraint (the grand coalition).
+  std::uint64_t FullMask() const;
+
+  /// Answers an evaluation whose input is the reference repair's own —
+  /// the full constraint set on the unperturbed dirty table — from
+  /// `clean_`, counted as a memo hit (cross-request once any request
+  /// context is set, since the reference predates every request).
+  bool ReferenceHit(std::size_t target_index) const;
 
   /// Estimated resident payload of one memo entry.
   std::size_t EntryPayloadBytes(const CacheEntry& entry) const;

@@ -10,8 +10,10 @@ ViolationIndex::ViolationIndex(const Table& table, const DcSet* dcs)
     : table_(table), dcs_(dcs) {
   TREX_CHECK(dcs_ != nullptr);
   row_indexes_.reserve(dcs_->size());
+  columns_.reserve(dcs_->size());
   for (std::size_t c = 0; c < dcs_->size(); ++c) {
     row_indexes_.emplace_back(&table_, &dcs_->at(c));
+    columns_.push_back(dcs_->at(c).AllColumns());
   }
   for (const Violation& v : FindViolations(table_, *dcs_)) {
     violations_.insert(v);
@@ -62,7 +64,7 @@ void ViolationIndex::SetCell(CellRef cell, Value value,
   TREX_CHECK_LT(cell.col, table_.num_columns());
   table_.Set(cell, std::move(value));
   for (std::size_t c = 0; c < dcs_->size(); ++c) {
-    if (dcs_->at(c).AllColumns().count(cell.col) == 0) continue;
+    if (columns_[c].count(cell.col) == 0) continue;
     if (row_indexes_[c].IsKeyColumn(cell.col)) row_indexes_[c].Rekey(cell.row);
     RefreshRow(c, cell.row, removed, added);
   }
@@ -72,14 +74,13 @@ std::size_t ViolationIndex::CountIfSet(CellRef cell, const Value& value) {
   // Pure delta probe: a cell write only affects violations that involve
   // its row under constraints reading its column, so the what-if count
   // is |V| − (current such violations) + (such violations with `value`
-  // placed). The violation sets are never touched — no snapshot, no
-  // erase/re-insert churn per probe.
+  // placed). Neither the table nor the violation sets are touched; the
+  // placed count comes from the row index's what-if probe (O(1) hash
+  // work for FD-like constraints, see dc/row_index.h), and violations of
+  // distinct constraints are distinct, so the per-constraint counts add.
   std::size_t count = violations_.size();
-  const Value saved = table_.at(cell);
-  std::vector<std::size_t> affected;
   for (std::size_t c = 0; c < dcs_->size(); ++c) {
-    if (dcs_->at(c).AllColumns().count(cell.col) == 0) continue;
-    affected.push_back(c);
+    if (columns_[c].count(cell.col) == 0) continue;
     // Distinct current entries involving the row: row1 == row (primary
     // range) plus row2 == row (mirror range), minus the unary overlap.
     for (auto it = violations_.lower_bound(Violation{c, cell.row, 0});
@@ -94,21 +95,7 @@ std::size_t ViolationIndex::CountIfSet(CellRef cell, const Value& value) {
          ++it) {
       if (it->row1 != cell.row) --count;  // unary counted above already
     }
-  }
-  table_.Set(cell, value);
-  std::set<Violation> hypothetical;
-  for (std::size_t c : affected) {
-    if (row_indexes_[c].IsKeyColumn(cell.col)) row_indexes_[c].Rekey(cell.row);
-    const bool dedup = dcs_->at(c).IsSymmetric();
-    for (const Violation& v :
-         row_indexes_[c].ViolationsOfRow(cell.row, c, dedup)) {
-      hypothetical.insert(v);
-    }
-  }
-  count += hypothetical.size();
-  table_.Set(cell, saved);
-  for (std::size_t c : affected) {
-    if (row_indexes_[c].IsKeyColumn(cell.col)) row_indexes_[c].Rekey(cell.row);
+    count += row_indexes_[c].ViolationCountIf(cell.row, cell.col, value);
   }
   return count;
 }

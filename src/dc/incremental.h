@@ -7,10 +7,19 @@
 // constraint reads that column and that involve that row. Each update
 // rescans that row through a per-constraint `ConstraintRowIndex`
 // (dc/row_index.h), so the rescan probes one hash bucket — O(bucket) —
-// instead of the whole table, stale entries are range-erased from a
-// (constraint, row)-addressable mirror instead of scanned, and a
-// `CountIfSet` probe applies and rolls back the update instead of
-// copying the violation set. `HolisticRepair` uses it for candidate
+// instead of the whole table, and stale entries are range-erased from a
+// (constraint, row)-addressable mirror instead of scanned.
+//
+// `CountIfSet` is a what-if probe that never writes: it subtracts the
+// row's current entries (two range scans) and adds each affected
+// constraint's `ConstraintRowIndex::ViolationCountIf`. For the shapes
+// that index answers in O(1) — cross-tuple equalities plus one
+// cross-tuple `!=`, i.e. every FD — a probe costs O(#constraints) hash
+// lookups: no table write, no re-keying, no bucket scan, no violation
+// set. Other shapes evaluate the constraint over the row's hypothetical
+// bucket. The first probe builds each index's per-bucket histograms
+// (lazily; see dc/row_index.h), after which `SetCell` keeps them exact
+// through `IsKeyColumn`/`Rekey`. `HolisticRepair` uses it for candidate
 // evaluation (see bench_ablation's incremental entry and the
 // equivalence property test).
 
@@ -59,7 +68,8 @@ class ViolationIndex {
                std::vector<Violation>* added = nullptr);
 
   /// What-if probe: the violation count if `cell` were set to `value`.
-  /// The table and index are left unchanged.
+  /// The table and the violation set are left unchanged (the first call
+  /// builds the row indexes' histograms, hence non-const).
   std::size_t CountIfSet(CellRef cell, const Value& value);
 
  private:
@@ -88,6 +98,8 @@ class ViolationIndex {
   std::set<Violation, Row2Order> by_row2_;
   /// One partner-probe index per constraint, kept over `table_`.
   std::vector<ConstraintRowIndex> row_indexes_;
+  /// Columns each constraint reads (`AllColumns`, computed once).
+  std::vector<std::set<std::size_t>> columns_;
 };
 
 }  // namespace trex::dc

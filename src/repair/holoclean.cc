@@ -18,8 +18,8 @@ using FeatureVector = std::array<double, kNumFeatures>;
 
 /// The mutable assignment under inference: the working table plus one
 /// bucketed violation probe per constraint (kept consistent on writes),
-/// so candidate scoring checks one hash bucket instead of scanning all
-/// rows per constraint.
+/// so scoring a candidate is a what-if probe per constraint instead of
+/// a scan of all rows.
 struct WorkingState {
   Table table;
   std::vector<dc::ConstraintRowIndex> row_indexes;
@@ -107,10 +107,11 @@ std::vector<Value> BuildDomain(Context* ctx, CellRef cell) {
   return domain;
 }
 
-/// Features of assigning `candidate` to `cell`, judged against `working`
-/// (the current assignment of all other cells).
-FeatureVector Featurize(Context* ctx, WorkingState* working, CellRef cell,
-                        const Value& candidate, const Value& original) {
+/// The features of assigning `candidate` to `cell` that read only the
+/// dirty table: f[0], f[1] and f[3]. f[2] is left 0 (see
+/// `ViolationFeature`).
+FeatureVector DirtyFeatures(Context* ctx, CellRef cell,
+                            const Value& candidate, const Value& original) {
   FeatureVector f{};
   // f[0]: column prior from the dirty table.
   f[0] = ctx->stats.Column(cell.col).Probability(candidate);
@@ -133,22 +134,51 @@ FeatureVector Featurize(Context* ctx, WorkingState* working, CellRef cell,
   }
   f[1] = cooc_count == 0 ? 0.0 : cooc_sum / cooc_count;
 
-  // f[2]: negated fraction of DCs the row violates with the candidate
-  // placed (violations lower the score).
-  const Value saved = working->table.at(cell);
-  working->Set(cell, candidate);
-  int violated = 0;
-  for (const dc::ConstraintRowIndex& index : working->row_indexes) {
-    if (index.RowViolates(cell.row)) ++violated;
-  }
-  working->Set(cell, saved);
-  f[2] = ctx->dcs.empty()
-             ? 0.0
-             : -static_cast<double>(violated) /
-                   static_cast<double>(ctx->dcs.size());
-
   // f[3]: minimality — keeping the original value.
   f[3] = (!original.is_null() && candidate == original) ? 1.0 : 0.0;
+  return f;
+}
+
+/// f[2]: negated fraction of DCs the row violates with `candidate`
+/// placed in `cell`, judged against `working` (the current assignment of
+/// all other cells) by what-if probes — violations lower the score.
+double ViolationFeature(Context* ctx, WorkingState* working, CellRef cell,
+                        const Value& candidate) {
+  if (ctx->dcs.empty()) return 0.0;
+  int violated = 0;
+  for (dc::ConstraintRowIndex& index : working->row_indexes) {
+    if (index.RowViolatesIf(cell.row, cell.col, candidate)) ++violated;
+  }
+  return -static_cast<double>(violated) /
+         static_cast<double>(ctx->dcs.size());
+}
+
+/// One cell's scoring inputs that depend only on the dirty table,
+/// computed once per run: the candidate domain and, per candidate, the
+/// dirty-table features (`DirtyFeatures`).
+struct CellModel {
+  CellRef cell;
+  std::vector<Value> domain;
+  std::vector<FeatureVector> features;  // parallel to `domain`
+};
+
+CellModel BuildCellModel(Context* ctx, CellRef cell) {
+  CellModel model;
+  model.cell = cell;
+  model.domain = BuildDomain(ctx, cell);
+  const Value& original = ctx->dirty.at(cell);
+  model.features.reserve(model.domain.size());
+  for (const Value& candidate : model.domain) {
+    model.features.push_back(DirtyFeatures(ctx, cell, candidate, original));
+  }
+  return model;
+}
+
+/// All four features of the model's `i`-th candidate against `working`.
+FeatureVector Featurize(Context* ctx, WorkingState* working,
+                        const CellModel& model, std::size_t i) {
+  FeatureVector f = model.features[i];
+  f[2] = ViolationFeature(ctx, working, model.cell, model.domain[i]);
   return f;
 }
 
@@ -158,22 +188,22 @@ double Score(const FeatureVector& f, const FeatureVector& w) {
   return s;
 }
 
-/// Argmax candidate under the current weights; ties break toward the
-/// smaller value (domains are value-sorted).
-Value BestCandidate(Context* ctx, WorkingState* working, CellRef cell,
-                    const std::vector<Value>& domain, const Value& original,
-                    const FeatureVector& weights) {
+/// Index of the argmax candidate under the current weights; ties break
+/// toward the smaller value (domains are value-sorted). Requires a
+/// non-empty domain.
+std::size_t BestCandidate(Context* ctx, WorkingState* working,
+                          const CellModel& model,
+                          const FeatureVector& weights) {
   double best_score = 0;
-  const Value* best = nullptr;
-  for (const Value& candidate : domain) {
-    const double s =
-        Score(Featurize(ctx, working, cell, candidate, original), weights);
-    if (best == nullptr || s > best_score) {
+  std::size_t best = 0;
+  for (std::size_t i = 0; i < model.domain.size(); ++i) {
+    const double s = Score(Featurize(ctx, working, model, i), weights);
+    if (i == 0 || s > best_score) {
       best_score = s;
-      best = &candidate;
+      best = i;
     }
   }
-  return best == nullptr ? Value::Null() : *best;
+  return best;
 }
 
 /// Multiclass-perceptron weight fitting on weakly-labeled clean cells.
@@ -181,19 +211,25 @@ FeatureVector LearnWeights(Context* ctx, WorkingState* working,
                            const std::vector<CellRef>& clean_cells) {
   FeatureVector w{ctx->options.w_prior, ctx->options.w_cooccurrence,
                   ctx->options.w_violation, ctx->options.w_minimality};
+  std::vector<CellModel> models;
+  models.reserve(clean_cells.size());
+  for (const CellRef& cell : clean_cells) {
+    models.push_back(BuildCellModel(ctx, cell));
+  }
   const double lr = ctx->options.learning_rate;
   for (int epoch = 0; epoch < ctx->options.learning_epochs; ++epoch) {
-    for (const CellRef& cell : clean_cells) {
-      const Value observed = ctx->dirty.at(cell);
-      std::vector<Value> domain = BuildDomain(ctx, cell);
-      if (domain.size() < 2) continue;
-      const Value predicted =
-          BestCandidate(ctx, working, cell, domain, observed, w);
-      if (predicted.is_null() || predicted == observed) continue;
+    for (const CellModel& model : models) {
+      if (model.domain.size() < 2) continue;
+      // A clean cell's observed value is non-null, so its domain holds it.
+      const Value& observed = ctx->dirty.at(model.cell);
+      const std::size_t predicted = BestCandidate(ctx, working, model, w);
+      if (model.domain[predicted] == observed) continue;
+      const std::size_t observed_index = static_cast<std::size_t>(
+          std::find(model.domain.begin(), model.domain.end(), observed) -
+          model.domain.begin());
       const FeatureVector f_obs =
-          Featurize(ctx, working, cell, observed, observed);
-      const FeatureVector f_pred =
-          Featurize(ctx, working, cell, predicted, observed);
+          Featurize(ctx, working, model, observed_index);
+      const FeatureVector f_pred = Featurize(ctx, working, model, predicted);
       for (int i = 0; i < kNumFeatures; ++i) {
         w[i] += lr * (f_obs[i] - f_pred[i]);
       }
@@ -242,26 +278,24 @@ Result<Table> HoloCleanRepair::Repair(const dc::DcSet& dcs,
     weights = LearnWeights(&ctx, &working, clean_cells);
   }
 
-  // Stage 2 domains, computed once per noisy cell.
-  std::vector<std::vector<Value>> domains;
-  domains.reserve(noisy_cells.size());
+  // Stage 2 domains and dirty-table features, computed once per noisy
+  // cell.
+  std::vector<CellModel> models;
+  models.reserve(noisy_cells.size());
   for (const CellRef& cell : noisy_cells) {
-    domains.push_back(BuildDomain(&ctx, cell));
+    models.push_back(BuildCellModel(&ctx, cell));
   }
 
   // Stage 5: ICM to fixpoint.
   for (int iter = 0; iter < options_.max_inference_iterations; ++iter) {
     bool changed = false;
-    for (std::size_t i = 0; i < noisy_cells.size(); ++i) {
-      const CellRef cell = noisy_cells[i];
-      if (domains[i].empty()) continue;
-      const Value& original = dirty.at(cell);
-      const Value best = BestCandidate(&ctx, &working, cell, domains[i],
-                                       original, weights);
-      if (best.is_null()) continue;
-      const Value& current = working.table.at(cell);
+    for (const CellModel& model : models) {
+      if (model.domain.empty()) continue;
+      const Value& best =
+          model.domain[BestCandidate(&ctx, &working, model, weights)];
+      const Value& current = working.table.at(model.cell);
       if (current.is_null() || best != current) {
-        working.Set(cell, best);
+        working.Set(model.cell, best);
         changed = true;
       }
     }

@@ -12,7 +12,11 @@
 //      ranked by co-occurrence strength).
 //   3. Featurization     — per candidate: column prior, mean attribute
 //      co-occurrence probability, DC-violation fraction when placed, and
-//      a minimality indicator (HoloClean's feature families).
+//      a minimality indicator (HoloClean's feature families). Domains
+//      and the three dirty-table features are computed once per cell
+//      per run; only the violation fraction reads the working
+//      assignment, through the row indexes' what-if probes
+//      (dc/row_index.h), so scoring a candidate never writes the table.
 //   4. Weight learning   — weak supervision exactly as in the paper:
 //      cells *not* flagged noisy serve as labeled examples; a multiclass
 //      perceptron fits the feature weights.

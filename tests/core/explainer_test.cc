@@ -50,8 +50,9 @@ TEST(ConstraintExplainerTest, ExplanationMetadata) {
   EXPECT_EQ(ex->old_value, Value("España"));
   EXPECT_EQ(ex->new_value, Value("Spain"));
   EXPECT_NEAR(ex->TotalAttribution(), 1.0, 1e-12);  // efficiency
-  // 1 reference + 16 subsets.
-  EXPECT_EQ(ex->algorithm_calls, 17u);
+  // 1 reference + 15 subsets; the full set is the reference itself.
+  EXPECT_EQ(ex->algorithm_calls, 16u);
+  EXPECT_EQ(ex->cache_hits, 1u);
 }
 
 TEST(ConstraintExplainerTest, TopKClamps) {
