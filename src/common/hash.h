@@ -44,8 +44,8 @@ inline std::uint64_t Fnv1a(std::string_view s,
 
 /// A 128-bit hash value. Wide enough that content collisions are not a
 /// practical concern (~2^64 hashed tables for a 50% birthday-bound
-/// collision), which is what lets the repair-table memo verify hits by
-/// hash instead of retaining a full copy of every hashed input.
+/// collision), which is why the repair-table memo compares it before
+/// anything else when verifying a hit.
 struct Hash128 {
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;

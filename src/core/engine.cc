@@ -90,7 +90,6 @@ Status Engine::EnsureRepair() {
       BlackBoxRepair box,
       BlackBoxRepair::MakeMultiTarget(algorithm_.get(), dcs_, dirty_, {}));
   box.set_max_memo_entries(options_.max_memo_entries);
-  box.set_use_strong_table_hash(options_.use_strong_table_hash);
   box_ = std::move(box);
   return Status::Ok();
 }
@@ -303,22 +302,6 @@ Result<BatchResult> Engine::ExplainBatch(
   TREX_RETURN_NOT_OK(EnsureRepair());
   batch.stats.reference_repairs = had_repair ? 0 : 1;
 
-  if (options_.seal_targets) {
-    // Register the batch's full target set up front, then seal: memo
-    // entries written while serving the batch store per-target outcome
-    // bitsets instead of repaired tables. Out-of-range targets are
-    // skipped here — their slots fail with the same status as before
-    // when their request executes.
-    for (const ExplainRequest& request : requests) {
-      if (request.target.row < dirty_->num_rows() &&
-          request.target.col < dirty_->num_columns()) {
-        auto added = box_->AddTarget(request.target);
-        TREX_CHECK(added.ok()) << added.status().ToString();
-      }
-    }
-    box_->SealTargets();
-  }
-
   batch.results.reserve(requests.size());
   for (const ExplainRequest& request : requests) {
     Result<ExplainResult> result = [&]() -> Result<ExplainResult> {
@@ -470,7 +453,7 @@ Result<Explanation> Engine::ExplainConstraints(std::size_t target_index,
       score.constraint_index = i;
       scores.push_back(std::move(score));
     }
-    ex.method = StrFormat("sampling(m=%zu)", options.sampling.num_samples);
+    ex.method = StrFormat("sampling(m=%zu)", sampling.num_samples);
   }
   ex.ranked = std::move(scores);
   RankDescending(&ex.ranked);
@@ -689,11 +672,6 @@ Result<Explanation> Engine::ExplainCells(std::size_t target_index,
       config.stop = EffectiveStopRule(request);
       config.check_interval = anytime.check_interval;
       if (anytime.max_sweeps > 0) config.num_samples = anytime.max_sweeps;
-    } else if (options.target_std_error.has_value()) {
-      // Legacy shorthand: equivalent normal-theory rule (z·se ≤ z·target
-      // ⇔ se ≤ target), checked every shard like before.
-      config.stop.target_half_width =
-          config.stop.z * *options.target_std_error;
     }
     config.stop.soften =
         CancelToken::AnyOf(config.stop.soften, request.soften);
@@ -718,7 +696,7 @@ Result<Explanation> Engine::ExplainCells(std::size_t target_index,
     }
     ex.method = StrFormat(
         "sampling(m=%zu, policy=%s, players=%zu/%zu)",
-        options.num_samples, AbsentCellPolicyToString(options.policy),
+        config.num_samples, AbsentCellPolicyToString(options.policy),
         players.size(), dirty_->num_cells());
   }
 

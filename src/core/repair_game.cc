@@ -11,21 +11,6 @@
 namespace trex {
 namespace {
 
-bool GetOutcomeBit(const std::vector<std::uint64_t>& bits, std::size_t index) {
-  return (bits[index / 64] >> (index % 64)) & 1u;
-}
-
-void SetOutcomeBit(std::vector<std::uint64_t>* bits, std::size_t index,
-                   bool value) {
-  if (value) (*bits)[index / 64] |= std::uint64_t{1} << (index % 64);
-}
-
-/// Heap payload of a table, excluding the object header (which is
-/// already counted inside the owning struct's sizeof).
-std::size_t TableHeapBytes(const Table& table) {
-  return table.ApproxMemoryBytes() - sizeof(Table);
-}
-
 /// The per-thread evaluation scratch: one resident dirty-table copy per
 /// thread, owned by whichever box evaluated last on this thread
 /// (`owner` is the box's globally unique scratch id). Switching boxes
@@ -49,8 +34,9 @@ struct EvalScratch {
 };
 
 /// Bit-level value equality, stricter than `Value::operator==` (which
-/// equates 1 with 1.0 and +0.0 with -0.0): skipping a scratch write is
-/// only sound when the resident bytes hash identically to the write.
+/// equates 1 with 1.0 and +0.0 with -0.0): skipping a scratch write, or
+/// dropping a write from a canonical write set, is only sound when the
+/// resident bytes hash identically to the write.
 bool ExactlyEqual(const Value& a, const Value& b) {
   if (a.type() != b.type()) return false;
   switch (a.type()) {
@@ -67,6 +53,45 @@ bool ExactlyEqual(const Value& a, const Value& b) {
       return a.as_string() == b.as_string();
   }
   return false;
+}
+
+/// The characteristic function's cell predicate: `got` matches the
+/// reference value `want` (a null matches only a null).
+bool MatchesReference(const Value& got, const Value& want) {
+  if (got.is_null() || want.is_null()) return got.is_null() && want.is_null();
+  return got == want;
+}
+
+/// The canonical form of the write set `writes` against `dirty`: writes
+/// bit-equal to the dirty value dropped, the rest ordered by linear
+/// index. Points into `writes`; written into a per-thread scratch, valid
+/// until the calling thread canonicalizes again.
+const std::vector<const CellWrite*>& CanonicalWrites(
+    const Table& dirty, std::span<const CellWrite> writes) {
+  thread_local std::vector<const CellWrite*> canonical;
+  canonical.clear();
+  for (const CellWrite& write : writes) {
+    if (!ExactlyEqual(dirty.at(write.cell), write.value)) {
+      canonical.push_back(&write);
+    }
+  }
+  std::sort(canonical.begin(), canonical.end(),
+            [&dirty](const CellWrite* a, const CellWrite* b) {
+              return dirty.LinearIndex(a->cell) < dirty.LinearIndex(b->cell);
+            });
+  return canonical;
+}
+
+bool SameWrites(const std::vector<CellWrite>& stored,
+                const std::vector<const CellWrite*>& canonical) {
+  if (stored.size() != canonical.size()) return false;
+  for (std::size_t i = 0; i < stored.size(); ++i) {
+    if (!(stored[i].cell == canonical[i]->cell) ||
+        !ExactlyEqual(stored[i].value, canonical[i]->value)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 EvalScratch& ThreadEvalScratch() {
@@ -150,9 +175,6 @@ Result<std::size_t> BlackBoxRepair::AddTarget(CellRef target) {
       !both_null && (dirty_value.is_null() || info.clean_value.is_null() ||
                      dirty_value != info.clean_value);
   targets_.push_back(std::move(info));
-  // Post-seal registration is allowed: resident sealed entries keep
-  // their (now short) bitsets and this target's evaluations on them
-  // fall back to recompute-on-miss (see file comment).
   target_index_.emplace(target, targets_.size() - 1);
   return targets_.size() - 1;
 }
@@ -231,15 +253,29 @@ void BlackBoxRepair::RecordEvalError(const Status& status) const {
   abort.Cancel();
 }
 
-bool BlackBoxRepair::Outcome(const Table& repaired,
+bool BlackBoxRepair::Outcome(const CacheEntry& entry,
                              std::size_t target_index) const {
   TREX_CHECK_LT(target_index, targets_.size());
-  const TargetInfo& info = targets_[target_index];
-  const Value& got = repaired.at(info.cell);
-  if (got.is_null() || info.clean_value.is_null()) {
-    return got.is_null() && info.clean_value.is_null();
+  return !std::binary_search(entry.disagreements.begin(),
+                             entry.disagreements.end(),
+                             dirty_->LinearIndex(targets_[target_index].cell));
+}
+
+std::vector<std::size_t> BlackBoxRepair::Disagreements(
+    const Table& repaired) const {
+  TREX_CHECK(repaired.num_rows() == clean_.num_rows() &&
+             repaired.num_columns() == clean_.num_columns())
+      << "repair changed the table's shape";
+  std::vector<std::size_t> disagreements;
+  for (std::size_t row = 0; row < clean_.num_rows(); ++row) {
+    for (std::size_t col = 0; col < clean_.num_columns(); ++col) {
+      if (!MatchesReference(repaired.at(row, col), clean_.at(row, col))) {
+        disagreements.push_back(clean_.LinearIndex({row, col}));
+      }
+    }
   }
-  return got == info.clean_value;
+  disagreements.shrink_to_fit();
+  return disagreements;
 }
 
 std::uint64_t BlackBoxRepair::FullMask() const {
@@ -249,63 +285,33 @@ std::uint64_t BlackBoxRepair::FullMask() const {
 }
 
 bool BlackBoxRepair::ReferenceHit(std::size_t target_index) const {
+  TREX_CHECK_LT(target_index, targets_.size());
   // Counted like a memo hit on an entry written before any request.
   state_->hits.fetch_add(1);
   if (state_->current_request.load() != 0) {
     state_->cross_request_hits.fetch_add(1);
   }
-  return Outcome(clean_, target_index);
+  const TargetInfo& info = targets_[target_index];
+  return MatchesReference(clean_.at(info.cell), info.clean_value);
 }
 
 std::size_t BlackBoxRepair::EntryPayloadBytes(const CacheEntry& entry) const {
-  return sizeof(CacheEntry) + TableHeapBytes(entry.input) +
-         TableHeapBytes(entry.repaired) +
-         entry.outcomes.capacity() * sizeof(std::uint64_t);
+  std::size_t bytes = sizeof(CacheEntry) +
+                      entry.writes.capacity() * sizeof(CellWrite) +
+                      entry.disagreements.capacity() * sizeof(std::size_t);
+  for (const CellWrite& write : entry.writes) {
+    if (write.value.is_string()) bytes += write.value.as_string().capacity();
+  }
+  return bytes;
 }
 
-void BlackBoxRepair::SealEntry(CacheEntry* entry) const {
-  entry->outcomes.assign((targets_.size() + 63) / 64, 0);
-  for (std::size_t i = 0; i < targets_.size(); ++i) {
-    SetOutcomeBit(&entry->outcomes, i, Outcome(entry->repaired, i));
+bool BlackBoxRepair::CountHit(const CacheEntry& entry,
+                              std::size_t target_index) const {
+  state_->hits.fetch_add(1);
+  if (entry.request_id != state_->current_request.load()) {
+    state_->cross_request_hits.fetch_add(1);
   }
-  entry->covered_targets = targets_.size();
-  entry->sealed = true;
-  entry->input = Table();
-  entry->repaired = Table();
-}
-
-void BlackBoxRepair::PopulateEntry(CacheEntry* entry, const Table* input,
-                                   Table repaired,
-                                   const Hash128& fp128) const {
-  entry->fp128 = fp128;
-  entry->request_id = state_->current_request.load();
-  entry->repaired = std::move(repaired);
-  if (sealed_) {
-    SealEntry(entry);
-    return;
-  }
-  entry->sealed = false;
-  if (input != nullptr && !use_strong_table_hash_) {
-    entry->input = *input;
-  }
-}
-
-void BlackBoxRepair::SealTargets() {
-  if (sealed_) return;
-  sealed_ = true;
-  WriterLock lock(state_->mu);
-  std::size_t bytes = 0;
-  for (auto& [mask, entry] : state_->mask_cache) {
-    if (!entry.sealed) SealEntry(&entry);
-    bytes += EntryPayloadBytes(entry);
-  }
-  for (auto& [fingerprint, bucket] : state_->table_cache) {
-    for (CacheEntry& entry : bucket) {
-      if (!entry.sealed) SealEntry(&entry);
-      bytes += EntryPayloadBytes(entry);
-    }
-  }
-  state_->approx_bytes.store(bytes);
+  return Outcome(entry, target_index);
 }
 
 bool BlackBoxRepair::EvalConstraintSubset(std::uint64_t mask,
@@ -320,18 +326,7 @@ bool BlackBoxRepair::EvalConstraintSubset(std::uint64_t mask,
     ReaderLock lock(state_->mu);
     auto it = state_->mask_cache.find(mask);
     if (it != state_->mask_cache.end()) {
-      const CacheEntry& entry = it->second;
-      // A sealed entry answers only the targets its bitset covers; a
-      // target registered after sealing falls through to a fresh repair
-      // run (never a silently wrong bit).
-      if (!entry.sealed || target_index < entry.covered_targets) {
-        state_->hits.fetch_add(1);
-        if (entry.request_id != state_->current_request.load()) {
-          state_->cross_request_hits.fetch_add(1);
-        }
-        return entry.sealed ? GetOutcomeBit(entry.outcomes, target_index)
-                            : Outcome(entry.repaired, target_index);
-      }
+      return CountHit(it->second, target_index);
     }
   }
   const dc::DcSet subset = dcs_.Subset(mask);
@@ -348,21 +343,18 @@ bool BlackBoxRepair::EvalConstraintSubset(std::uint64_t mask,
     return false;
   }
   state_->calls.fetch_add(1);
-  const bool outcome = Outcome(*repaired, target_index);
+  CacheEntry entry;
+  entry.disagreements = Disagreements(*repaired);
+  entry.request_id = state_->current_request.load();
+  const bool outcome = Outcome(entry, target_index);
   if (cache_enabled_) {
     WriterLock lock(state_->mu);
-    auto [it, inserted] = state_->mask_cache.try_emplace(mask);
-    if (!inserted) {
-      // A concurrent miss filled this mask, or it is the sealed entry
-      // that did not cover `target_index`: refresh only in the latter
-      // case, re-sealing over the now-larger target set.
-      if (!it->second.sealed || target_index < it->second.covered_targets) {
-        return outcome;
-      }
-      state_->approx_bytes.fetch_sub(EntryPayloadBytes(it->second));
+    // A concurrent miss may have filled this mask already: keep it.
+    auto [it, inserted] = state_->mask_cache.try_emplace(mask,
+                                                         std::move(entry));
+    if (inserted) {
+      state_->approx_bytes.fetch_add(EntryPayloadBytes(it->second));
     }
-    PopulateEntry(&it->second, nullptr, std::move(*repaired), Hash128{});
-    state_->approx_bytes.fetch_add(EntryPayloadBytes(it->second));
   }
   return outcome;
 }
@@ -431,52 +423,46 @@ const Table& BlackBoxRepair::MaterializeScratch(
   return scratch.table;
 }
 
-template <typename VerifyInput>
 std::optional<bool> BlackBoxRepair::LookupTableMemo(
-    std::uint64_t fp64, const Hash128& fp128, std::size_t target_index,
-    VerifyInput&& verify_input) const {
+    std::span<const CellWrite> writes, std::uint64_t fp64,
+    const Hash128& fp128, std::size_t target_index) const {
   if (!cache_enabled_) return std::nullopt;
   ReaderLock lock(state_->mu);
   auto it = state_->table_cache.find(fp64);
   if (it == state_->table_cache.end()) return std::nullopt;
+  const std::vector<const CellWrite*>* canonical = nullptr;
   for (CacheEntry& entry : it->second) {
     // Never trust the 64-bit bucket fingerprint alone: a collision must
-    // fall through to a fresh repair run, never return another table's
-    // outcome. Verification is the 128-bit fingerprint, plus the
-    // caller's full-content check whenever the entry retains its input.
+    // fall through to a fresh repair run, never return another input's
+    // outcome. Verification is the 128-bit fingerprint, then the exact
+    // canonical write set.
     if (entry.fp128 != fp128) continue;
-    if (entry.input.num_columns() != 0 && !verify_input(entry.input)) {
-      continue;
-    }
-    if (entry.sealed && target_index >= entry.covered_targets) {
-      break;  // same input, uncovered target: recompute and extend
-    }
-    state_->hits.fetch_add(1);
-    if (entry.request_id != state_->current_request.load()) {
-      state_->cross_request_hits.fetch_add(1);
-    }
+    if (canonical == nullptr) canonical = &CanonicalWrites(*dirty_, writes);
+    if (!SameWrites(entry.writes, *canonical)) continue;
     // Touch the LRU clock; atomic_ref because other readers may touch
     // the same entry under the shared lock concurrently.
     std::atomic_ref<std::uint64_t>(entry.last_used)
         .store(state_->tick.fetch_add(1) + 1, std::memory_order_relaxed);
-    return entry.sealed ? GetOutcomeBit(entry.outcomes, target_index)
-                        : Outcome(entry.repaired, target_index);
+    return CountHit(entry, target_index);
   }
   return std::nullopt;
 }
 
 bool BlackBoxRepair::EvalTable(const Table& perturbed,
                                std::size_t target_index) const {
-  TREX_CHECK_LT(target_index, targets_.size());
-  std::uint64_t fp64 = 0;
-  Hash128 fp128;
-  perturbed.DualFingerprint(&fp64, &fp128);
-  if (table_bucket_fn_) fp64 = table_bucket_fn_(perturbed);
-  const std::optional<bool> hit =
-      LookupTableMemo(fp64, fp128, target_index,
-                      [&](const Table& input) { return input == perturbed; });
-  if (hit.has_value()) return *hit;
-  return EvalTableMiss(perturbed, fp64, fp128, target_index);
+  TREX_CHECK(perturbed.schema() == dirty_->schema() &&
+             perturbed.num_cells() == dirty_->num_cells())
+      << "EvalTable needs a table of the dirty table's shape";
+  std::vector<CellWrite> writes;
+  for (std::size_t row = 0; row < perturbed.num_rows(); ++row) {
+    for (std::size_t col = 0; col < perturbed.num_columns(); ++col) {
+      const Value& value = perturbed.at(row, col);
+      if (!ExactlyEqual(value, dirty_->at(row, col))) {
+        writes.push_back({{row, col}, value});
+      }
+    }
+  }
+  return EvalPerturbation(writes, target_index);
 }
 
 bool BlackBoxRepair::EvalPerturbation(std::span<const CellWrite> writes,
@@ -494,58 +480,49 @@ bool BlackBoxRepair::EvalPerturbation(std::span<const CellWrite> writes,
   TREX_CHECK_LT(target_index, targets_.size());
   // No writes: the dirty table itself, whose repair is the reference.
   if (cache_enabled_ && writes.empty()) return ReferenceHit(target_index);
-  if (table_bucket_fn_) {
-    // The test-only bucket override takes a table; materialize eagerly.
-    return EvalTable(MaterializeScratch(writes), target_index);
-  }
-  // Entries retaining their input verify in full against dirty+writes —
-  // an overlay comparison, nothing materialized.
+  if (table_bucket_fn_) fp64 = table_bucket_fn_(fp64);
   const std::optional<bool> hit =
-      LookupTableMemo(fp64, fp128, target_index, [&](const Table& input) {
-        return input.EqualsWithWrites(*dirty_, writes);
-      });
+      LookupTableMemo(writes, fp64, fp128, target_index);
   if (hit.has_value()) return *hit;
-  // Only a miss materializes, into the per-thread scratch.
-  return EvalTableMiss(MaterializeScratch(writes), fp64, fp128, target_index);
+  return EvalTableMiss(writes, fp64, fp128, target_index);
 }
 
-bool BlackBoxRepair::EvalTableMiss(const Table& perturbed, std::uint64_t fp64,
-                                   const Hash128& fp128,
+bool BlackBoxRepair::EvalTableMiss(std::span<const CellWrite> writes,
+                                   std::uint64_t fp64, const Hash128& fp128,
                                    std::size_t target_index) const {
+  // Only a miss materializes, into the per-thread scratch.
+  const Table& perturbed = MaterializeScratch(writes);
   auto repaired = [&]() -> Result<Table> {
     TREX_FAULT_INJECT("repair.eval_table_miss");
     return algorithm_->Repair(dcs_, perturbed);
   }();
   if (!repaired.ok()) {
     // See EvalConstraintSubset: record + abort, and return before any
-    // cache write so no CacheEntry (sealed or unsealed) is poisoned.
+    // cache write so no CacheEntry is poisoned.
     RecordEvalError(repaired.status().WithPrefix("perturbed-table repair"));
     return false;
   }
   state_->calls.fetch_add(1);
-  const bool outcome = Outcome(*repaired, target_index);
+  CacheEntry entry;
+  entry.disagreements = Disagreements(*repaired);
+  const bool outcome = Outcome(entry, target_index);
   if (!cache_enabled_) return outcome;
+  const std::vector<const CellWrite*>& canonical =
+      CanonicalWrites(*dirty_, writes);
   WriterLock lock(state_->mu);
   std::vector<CacheEntry>& bucket = state_->table_cache[fp64];
   // Re-check under the exclusive lock: a concurrent miss on the same
-  // table may have inserted while we ran the repair — don't retain a
-  // duplicate entry. A resident sealed entry that does not cover
-  // `target_index` is extended in place instead.
-  for (CacheEntry& entry : bucket) {
-    if (entry.fp128 != fp128) continue;
-    if (entry.input.num_columns() != 0 && entry.input != perturbed) continue;
-    if (entry.sealed && target_index >= entry.covered_targets) {
-      state_->approx_bytes.fetch_sub(EntryPayloadBytes(entry));
-      PopulateEntry(&entry, &perturbed, std::move(*repaired), fp128);
-      state_->approx_bytes.fetch_add(EntryPayloadBytes(entry));
-      // The rebuilt entry is the freshest — bump its LRU clock so a
-      // capped memo does not evict the repair run we just paid for.
-      entry.last_used = state_->tick.fetch_add(1) + 1;
+  // input may have inserted while we ran the repair — don't retain a
+  // duplicate entry.
+  for (const CacheEntry& resident : bucket) {
+    if (resident.fp128 == fp128 && SameWrites(resident.writes, canonical)) {
+      return outcome;
     }
-    return outcome;
   }
-  CacheEntry entry;
-  PopulateEntry(&entry, &perturbed, std::move(*repaired), fp128);
+  entry.fp128 = fp128;
+  entry.writes.reserve(canonical.size());
+  for (const CellWrite* write : canonical) entry.writes.push_back(*write);
+  entry.request_id = state_->current_request.load();
   entry.last_used = state_->tick.fetch_add(1) + 1;
   state_->approx_bytes.fetch_add(EntryPayloadBytes(entry));
   bucket.push_back(std::move(entry));

@@ -17,64 +17,65 @@
 // Two memo caches answer repeat evaluations: constraint subsets are
 // keyed by bitmask, perturbed tables by XOR-combinable content
 // fingerprint (64-bit bucket key, 128-bit verification hash; see
-// `Table::Fingerprint`). One cached repair run answers the
-// characteristic function for *every* registered target — this is what
-// lets `Engine::ExplainBatch` share one box across a multi-target
-// batch. The reference repair answers the two evaluations whose input
-// is its own — the full constraint mask (`dcs_.Subset(all) == dcs_`) and
-// a perturbation with no writes — from `reference_clean()`, counted as
-// memo hits, so they never re-run the algorithm. Entries live in one of
-// two representations:
+// `Table::Fingerprint`). The reference repair answers the two
+// evaluations whose input is its own — the full constraint mask
+// (`dcs_.Subset(all) == dcs_`) and a perturbation with no writes — from
+// `reference_clean()`, counted as memo hits, so they never re-run the
+// algorithm.
 //
-//   * UNSEALED (the default): an entry retains the full repaired
-//     `Table` (plus, under full-content verification, the input copy),
-//     so targets registered *after* the entry was written can still
-//     read their outcome from it. O(table) bytes per entry.
-//   * SEALED (`SealTargets()`): once the target set is closed, an entry
-//     stores only a per-target outcome bitset (1 bit per registered
-//     target) — O(targets) bytes per entry; the repaired table is
-//     dropped. `Engine::ExplainBatch` seals after registering a batch's
-//     full target set. An `AddTarget` *after* sealing stays correct by
-//     falling back to recompute-on-miss: resident entries do not cover
-//     the new target, so its evaluations re-run the repair once and
-//     extend the entry's bitset — results never go silently wrong, only
-//     cost counters move. Sealed entries are verified by the 128-bit
-//     fingerprint (there is no stored input to compare against), the
-//     same trust model as `use_strong_table_hash`.
+// Every entry has one format, independent of the registered targets:
+// the sorted linear indices of the cells where the run's repaired table
+// *disagrees* with the reference repair (under the characteristic
+// function's own null/value predicate). A target's outcome is "the
+// target cell is not in the disagreement set", so one cached run
+// answers every registered target — including targets registered
+// *after* the entry was written. This is what lets
+// `Engine::ExplainBatch` share one box across a multi-target batch and
+// later batches. Table-memo entries also keep their input as a
+// *canonical write set* against the dirty table (writes bit-equal to
+// the dirty value dropped, the rest sorted by linear index) plus its
+// 128-bit fingerprint; no entry holds a `Table`, so an entry costs
+// O(#writes + #disagreements) bytes instead of O(table).
+//
+// A table-memo hit needs a 128-bit fingerprint match AND an exact match
+// of the canonical write sets — as strict as comparing the full tables,
+// at O(#writes) instead of O(cells). A bare 64-bit bucket fingerprint is
+// never trusted alone: a collision falls through to a fresh repair run.
 //
 // ## Delta evaluation
 //
 // `EvalPerturbation(writes, target)` evaluates a perturbed table
 // described as (dirty table, write set) without materializing it: the
 // memo key comes from `Table::DeltaFingerprint` over the dirty table's
-// cached base fingerprints in O(#writes), and full-content verification
-// (when entries retain inputs) compares via `Table::EqualsWithWrites` —
-// no copy, no allocation. Only a memo *miss* materializes the table,
-// into a per-thread scratch reused across evaluations (reset from the
-// dirty table by undoing the previous writes, then applying the new
-// ones) instead of a fresh copy per coalition. `CellGame::Value` and
+// cached base fingerprints in O(#writes), and verification compares
+// canonical write sets — no copy. `EvalTable(perturbed)` is the same
+// path after diffing `perturbed` against the dirty table. Only a memo
+// *miss* materializes the table, into a per-thread scratch reused
+// across evaluations (reset from the dirty table by undoing the
+// previous writes, then applying the new ones) instead of a fresh copy
+// per coalition. `CellGame::Value` and
 // the engine's permutation-sweep loops sit on this path; warm-cache
 // evaluations make zero full-table copies
 // (`num_eval_table_copies()` counts the scratch (re)initializations).
 //
 // `approx_memo_bytes()` estimates the resident payload of both memos
-// (entries × payload estimate) so compaction wins are observable; the
-// engine surfaces it through `BatchStats` and the benches' JSON lines.
+// (entries × payload estimate); the engine surfaces it through
+// `BatchStats` and the benches' JSON lines.
 //
 // Thread safety: `EvalConstraintSubset` / `EvalTable` /
 // `EvalPerturbation` may be called concurrently (the caches are
 // mutex-guarded; concurrent misses on the same key may duplicate a
-// repair run but never corrupt results). `AddTarget`, `SealTargets`,
-// and `BeginRequest` must not race with evaluations.
+// repair run but never corrupt results). `AddTarget` and
+// `BeginRequest` must not race with evaluations.
 //
 // The memo's reader/writer discipline is machine-checked under Clang's
 // -Wthread-safety (common/thread_annotations.h): both memo maps are
-// `GUARDED_BY(CacheState::mu)` — hit scans hold it shared, inserts,
-// sealing, and the sealed-entry extension path hold it exclusive
-// (`EvictLruTableEntry` carries the `REQUIRES` pre-condition). The
-// analysis is shallow: fields of entries *inside* the maps are past its
-// horizon, which is why the in-place LRU touch under the shared lock
-// goes through `std::atomic_ref` and stays TSan-covered.
+// `GUARDED_BY(CacheState::mu)` — hit scans hold it shared, inserts hold
+// it exclusive (`EvictLruTableEntry` carries the `REQUIRES`
+// pre-condition). The analysis is shallow: fields of entries *inside*
+// the maps are past its horizon, which is why the in-place LRU touch
+// under the shared lock goes through `std::atomic_ref` and stays
+// TSan-covered.
 //
 // `ConstraintGame` (players = DCs, table fixed) and `CellGame` (players =
 // cells nulled in/out, DCs fixed) adapt one target's characteristic
@@ -134,22 +135,13 @@ class BlackBoxRepair {
 
   /// Registers another target cell against the cached reference repair —
   /// no additional algorithm call — and returns its index. Returns the
-  /// existing index when the cell is already registered. Allowed after
-  /// `SealTargets()`: resident sealed entries do not cover the new
-  /// target and fall back to recompute-on-miss (see file comment).
-  /// Must not race with concurrent evaluations.
+  /// existing index when the cell is already registered. Resident memo
+  /// entries answer the new target too (see file comment). Must not race
+  /// with concurrent evaluations.
   [[nodiscard]] Result<std::size_t> AddTarget(CellRef target);
 
   /// Index of a registered target cell, if any. O(1).
   std::optional<std::size_t> FindTarget(CellRef target) const;
-
-  /// Seals the current target set: both memos switch to per-target
-  /// outcome bitsets — resident entries are converted in place (their
-  /// stored tables are dropped), and new entries are written compact.
-  /// Idempotent. Must not race with evaluations (same contract as
-  /// `AddTarget`).
-  void SealTargets();
-  bool targets_sealed() const { return sealed_; }
 
   const Table& dirty() const { return *dirty_; }
   const Table& reference_clean() const { return clean_; }
@@ -170,7 +162,9 @@ class BlackBoxRepair {
                             std::size_t target_index = 0) const;
 
   /// Alg|t[A] for target `target_index` with the full constraint set and
-  /// a perturbed table.
+  /// a perturbed table of the dirty table's shape: the cells where it
+  /// differs from the dirty table become the write set of
+  /// `EvalPerturbation`.
   bool EvalTable(const Table& perturbed, std::size_t target_index = 0) const;
 
   /// Alg|t[A] for target `target_index` with the full constraint set and
@@ -187,8 +181,8 @@ class BlackBoxRepair {
   /// permutation sweeps) instead of re-hashing O(#writes) per
   /// evaluation. `fp64`/`fp128` MUST equal
   /// `dirty().DeltaFingerprint(dirty fps, writes)`: they are the memo
-  /// key and, for entries without a retained input, the verification
-  /// hash — an inconsistent pair could cache wrong outcomes.
+  /// key and the first verification stage — an inconsistent pair could
+  /// miss entries it should hit.
   bool EvalPerturbation(std::span<const CellWrite> writes,
                         std::uint64_t fp64, const Hash128& fp128,
                         std::size_t target_index) const;
@@ -217,9 +211,8 @@ class BlackBoxRepair {
   std::size_t num_eval_table_copies() const;
 
   /// Estimated resident bytes of both memos (entries × payload
-  /// estimate: stored tables, outcome bitsets, entry overhead). The
-  /// headline number sealing compacts; surfaced through
-  /// `Engine`/`BatchStats` and the benches' JSON lines.
+  /// estimate: write sets, disagreement sets, entry overhead); surfaced
+  /// through `Engine`/`BatchStats` and the benches' JSON lines.
   std::size_t approx_memo_bytes() const;
 
   /// Tags subsequent cache writes with `request_id`; hits on entries
@@ -267,27 +260,12 @@ class BlackBoxRepair {
   /// Table-memo entries currently resident.
   std::size_t num_table_memo_entries() const;
 
-  /// Verifies table-memo hits by the 128-bit content fingerprint instead
-  /// of retaining a full copy of every evaluated input (halves the
-  /// unsealed memo's table footprint; a hit then trusts the 128-bit
-  /// comparison rather than exact content equality). Off by default —
-  /// full-content verification stays the paranoid baseline while
-  /// entries retain inputs; sealed entries always verify by fingerprint.
-  /// Must be set before the first evaluation and must not race with
-  /// evaluations.
-  void set_use_strong_table_hash(bool enabled) {
-    use_strong_table_hash_ = enabled;
-  }
-  bool use_strong_table_hash() const { return use_strong_table_hash_; }
-
-  /// Test-only: overrides the 64-bit bucket fingerprint for the table
-  /// memo, so tests can force distinct tables into one bucket and
-  /// exercise the collision path (full-content or 128-bit verification
-  /// telling them apart). `EvalPerturbation` materializes eagerly while
-  /// the hook is set (the hook needs a table). Must not race with
-  /// evaluations.
+  /// Test-only: maps every 64-bit table-memo bucket key through `fn`, so
+  /// tests can force distinct inputs into one bucket and exercise the
+  /// collision path (verification telling them apart). Must not race
+  /// with evaluations.
   void set_table_bucket_fn_for_test(
-      std::function<std::uint64_t(const Table&)> fn) {
+      std::function<std::uint64_t(std::uint64_t)> fn) {
     table_bucket_fn_ = std::move(fn);
   }
 
@@ -300,25 +278,15 @@ class BlackBoxRepair {
     bool was_repaired = false;
   };
 
-  /// One memoized repair run, in one of two representations (see file
-  /// comment): unsealed entries retain `repaired` (and `input` under
-  /// full-content verification); sealed entries retain only `outcomes`,
-  /// a bitset covering the first `covered_targets` registered targets.
-  /// `fp128` always carries the 128-bit content fingerprint of the
-  /// evaluated input; a bare 64-bit bucket fingerprint is never trusted
-  /// alone — a collision must fall through to a fresh repair run, never
-  /// return another table's outcome.
+  /// One memoized repair run (see file comment). Mask-memo entries use
+  /// only `disagreements`; table-memo entries also identify their input
+  /// by `fp128` plus the canonical write set `writes`.
   struct CacheEntry {
-    Table input;     // retained only unsealed + full-content verification
-    Hash128 fp128;   // 128-bit content fingerprint of the input
-    Table repaired;  // dropped once sealed
-    /// Sealed representation: bit i = Alg|t_i outcome, for the first
-    /// `covered_targets` targets. Targets registered after the entry
-    /// was written (post-seal `AddTarget`) are not covered and
-    /// recompute on evaluation.
-    std::vector<std::uint64_t> outcomes;
-    std::size_t covered_targets = 0;
-    bool sealed = false;
+    Hash128 fp128;                  // content fingerprint of the input
+    std::vector<CellWrite> writes;  // canonical input write set vs dirty
+    /// Sorted linear indices of the cells where the repaired table
+    /// disagrees with the reference repair.
+    std::vector<std::size_t> disagreements;
     std::size_t request_id = 0;
     /// LRU clock value of the last touch (table-cache entries only);
     /// written through `std::atomic_ref` so hits under the shared lock
@@ -352,7 +320,7 @@ class BlackBoxRepair {
     std::size_t table_entries GUARDED_BY(mu) = 0;
     std::atomic<std::size_t> evictions{0};
     /// Estimated resident payload of both memos (maintained under `mu`
-    /// on insert/evict/seal; atomic so reads need no lock).
+    /// on insert/evict; atomic so reads need no lock).
     std::atomic<std::size_t> approx_bytes{0};
     /// Full dirty-table copies made by the evaluation scratch.
     std::atomic<std::size_t> eval_table_copies{0};
@@ -376,7 +344,13 @@ class BlackBoxRepair {
   /// non-empty table cache.
   void EvictLruTableEntry() const REQUIRES(state_->mu);
 
-  bool Outcome(const Table& repaired, std::size_t target_index) const;
+  /// The outcome a memo entry records for one target: its cell is not
+  /// among the entry's disagreements.
+  bool Outcome(const CacheEntry& entry, std::size_t target_index) const;
+
+  /// Sorted linear indices of the cells where `repaired` disagrees with
+  /// `reference_clean()`.
+  std::vector<std::size_t> Disagreements(const Table& repaired) const;
 
   /// The mask selecting every constraint (the grand coalition).
   std::uint64_t FullMask() const;
@@ -390,17 +364,9 @@ class BlackBoxRepair {
   /// Estimated resident payload of one memo entry.
   std::size_t EntryPayloadBytes(const CacheEntry& entry) const;
 
-  /// Converts one entry to the sealed representation (outcome bitset
-  /// over all currently registered targets; stored tables dropped).
-  /// Requires `entry->repaired` to be populated.
-  void SealEntry(CacheEntry* entry) const;
-
-  /// Fills `entry` (already verified or fresh) from a completed repair
-  /// run: sealed boxes store the outcome bitset, unsealed boxes the
-  /// repaired table (and the input copy under full-content mode, taken
-  /// from `input` when non-null).
-  void PopulateEntry(CacheEntry* entry, const Table* input, Table repaired,
-                     const Hash128& fp128) const;
+  /// Counts a hit on `entry` (cross-request when another request wrote
+  /// it) and returns its outcome for `target_index`.
+  bool CountHit(const CacheEntry& entry, std::size_t target_index) const;
 
   /// The per-thread scratch table holding dirty+writes, (re)initialized
   /// from the dirty table only when this thread last evaluated a
@@ -408,24 +374,21 @@ class BlackBoxRepair {
   /// undoing the previous writes.
   const Table& MaterializeScratch(std::span<const CellWrite> writes) const;
 
-  /// Shared miss path of `EvalTable`/`EvalPerturbation`: runs the
-  /// repair on the materialized `perturbed` table and inserts (or
-  /// extends) the memo entry under the exclusive lock.
-  bool EvalTableMiss(const Table& perturbed, std::uint64_t fp64,
-                     const Hash128& fp128, std::size_t target_index) const;
-
-  /// Shared hit scan of `EvalTable`/`EvalPerturbation`: walks the
-  /// `fp64` bucket under the shared lock, verifying each candidate by
-  /// 128-bit fingerprint plus `verify_input` (the caller's full-content
-  /// check, invoked only for entries that retain their input). Returns
-  /// the hit outcome — counters bumped, LRU touched — or nullopt when
-  /// the caller must run the repair (miss, cache disabled, or a sealed
-  /// entry not covering `target_index`).
-  template <typename VerifyInput>
-  std::optional<bool> LookupTableMemo(std::uint64_t fp64,
+  /// Hit scan of the table memo: walks the `fp64` bucket under the
+  /// shared lock, verifying each candidate by 128-bit fingerprint and
+  /// then by canonical write set (the query is canonicalized only once
+  /// a fingerprint matches). Returns the hit outcome — counters bumped,
+  /// LRU touched — or nullopt when the caller must run the repair.
+  std::optional<bool> LookupTableMemo(std::span<const CellWrite> writes,
+                                      std::uint64_t fp64,
                                       const Hash128& fp128,
-                                      std::size_t target_index,
-                                      VerifyInput&& verify_input) const;
+                                      std::size_t target_index) const;
+
+  /// Miss path of `EvalPerturbation`: runs the repair on dirty+`writes`
+  /// (materialized into the per-thread scratch) and inserts the memo
+  /// entry under the exclusive lock.
+  bool EvalTableMiss(std::span<const CellWrite> writes, std::uint64_t fp64,
+                     const Hash128& fp128, std::size_t target_index) const;
 
   const repair::RepairAlgorithm* algorithm_ = nullptr;
   dc::DcSet dcs_;
@@ -438,11 +401,9 @@ class BlackBoxRepair {
   std::vector<TargetInfo> targets_;
   std::unordered_map<CellRef, std::size_t, CellRefHash> target_index_;
   bool cache_enabled_ = true;
-  bool sealed_ = false;
-  bool use_strong_table_hash_ = false;
   std::size_t max_memo_entries_ = 0;  // 0 = unbounded
-  /// Test-only bucket-fingerprint override (null in production).
-  std::function<std::uint64_t(const Table&)> table_bucket_fn_;
+  /// Test-only bucket-key override (null in production).
+  std::function<std::uint64_t(std::uint64_t)> table_bucket_fn_;
   std::unique_ptr<CacheState> state_;
 };
 

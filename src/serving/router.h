@@ -131,7 +131,7 @@ struct RouterStats {
   std::size_t resident = 0;
   /// Estimated resident memo bytes summed over all resident engines
   /// (`Engine::approx_memo_bytes`) — the service-level view of the
-  /// footprint `EngineOptions::seal_targets` compacts.
+  /// engines' memo footprint.
   std::size_t approx_memo_bytes = 0;
   /// Breaker transitions into the OPEN state (trips and re-trips).
   std::size_t breaker_open = 0;

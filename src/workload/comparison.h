@@ -91,8 +91,8 @@ struct BackendRun {
   std::size_t algorithm_calls = 0;
   /// Memo hits amortized across targets inside the batch.
   std::size_t cross_request_hits = 0;
-  /// Estimated resident memo bytes after the batch — the compaction
-  /// (`EngineOptions::seal_targets`) headline in the perf trajectory.
+  /// Estimated resident memo bytes after the batch
+  /// (`Engine::approx_memo_bytes`).
   std::size_t approx_memo_bytes = 0;
   /// Targets this backend explained / could not explain (a backend that
   /// did not repair a target cannot explain it — that asymmetry is part

@@ -1,5 +1,5 @@
 // Memo-never-poisoned: a failed black-box evaluation must leave no
-// `CacheEntry` behind (sealed or unsealed), so a fault-then-retry
+// `CacheEntry` behind (table or mask memo), so a fault-then-retry
 // sequence converges on exactly one correct memo entry and warm-path
 // results bit-identical to a never-faulted run — across all four
 // bundled repair backends.
@@ -96,33 +96,40 @@ TEST(MemoIntegrityTest, FailedEvalWritesNoEntryAndRetryHealsAllBackends) {
   }
 }
 
-TEST(MemoIntegrityTest, SealedMemoAlsoStaysCleanOnFailure) {
-  // Same invariant on the sealed (per-target bitset) memo layout.
+TEST(MemoIntegrityTest, FailedMaskEvalWritesNoEntryAndLateTargetReadsRetry) {
+  // Same invariant on the constraint-subset (mask) memo; the healed
+  // entry then also answers a target registered after it was written.
   auto faulty = std::make_shared<FaultyAlgorithm>(
-      "faulty-sealed", repair::MakeAlgorithm1(),
+      "faulty-mask", repair::MakeAlgorithm1(),
       FaultyOptions{.skip_first = 1, .fail_first = 1});
   auto box = BlackBoxRepair::Make(faulty.get(), data::SoccerConstraints(),
                                   data::SoccerDirtyTable(),
                                   data::SoccerTargetCell());
   ASSERT_TRUE(box.ok()) << box.status();
-  box->SealTargets();
   box->BeginRequest(1);
 
-  const Table perturbed = PerturbedSoccer();
-  (void)box->EvalTable(perturbed);
+  (void)box->EvalConstraintSubset(0b0011);
   ASSERT_FALSE(box->eval_error().ok());
-  EXPECT_EQ(box->num_table_memo_entries(), 0u);
+  EXPECT_EQ(box->approx_memo_bytes(), 0u);
 
   box->BeginRequest(2);
-  const bool healed = box->EvalTable(perturbed);
-  EXPECT_EQ(box->num_table_memo_entries(), 1u);
+  const bool healed = box->EvalConstraintSubset(0b0011);
+  EXPECT_GT(box->approx_memo_bytes(), 0u);
 
   const auto clean_algorithm = repair::MakeAlgorithm1();
-  auto clean_box = BlackBoxRepair::Make(
+  auto clean_box = BlackBoxRepair::MakeMultiTarget(
       clean_algorithm.get(), data::SoccerConstraints(),
-      data::SoccerDirtyTable(), data::SoccerTargetCell());
+      data::SoccerDirtyTable(),
+      {data::SoccerTargetCell(), data::SoccerCell(5, "City")});
   ASSERT_TRUE(clean_box.ok());
-  EXPECT_EQ(healed, clean_box->EvalTable(perturbed));
+  EXPECT_EQ(healed, clean_box->EvalConstraintSubset(0b0011, 0));
+
+  auto late = box->AddTarget(data::SoccerCell(5, "City"));
+  ASSERT_TRUE(late.ok());
+  const std::size_t calls = faulty->calls();
+  EXPECT_EQ(box->EvalConstraintSubset(0b0011, *late),
+            clean_box->EvalConstraintSubset(0b0011, 1));
+  EXPECT_EQ(faulty->calls(), calls);
 }
 
 }  // namespace

@@ -314,8 +314,8 @@ TEST(BlackBoxRepairTest, CrossRequestHitAccounting) {
 TEST(BlackBoxRepairTest, TableCacheVerifiesFullContentNotJustFingerprint) {
   // Two perturbations with different content must never share a cache
   // entry. (A fingerprint collision between arbitrary tables cannot be
-  // staged here, but the outcome difference proves the full-content
-  // check is in the lookup path: both tables would collide into one
+  // staged here, but the outcome difference proves the content check
+  // is in the lookup path: both tables would collide into one
   // entry under a value-blind key.)
   auto box = MakeBox(data::SoccerTargetCell());
   ASSERT_TRUE(box.ok());
@@ -333,52 +333,69 @@ TEST(BlackBoxRepairTest, TableCacheVerifiesFullContentNotJustFingerprint) {
   EXPECT_EQ(box->num_cache_hits(), 2u);
 }
 
-TEST(BlackBoxRepairTest, StrongHashMemoMatchesFullVerificationOutcomes) {
-  // Same evaluations, same outcomes, same hit/miss pattern — with the
-  // input copies dropped from the memo.
-  auto verified = MakeBox(data::SoccerTargetCell());
-  auto strong = MakeBox(data::SoccerTargetCell());
-  ASSERT_TRUE(verified.ok());
-  ASSERT_TRUE(strong.ok());
-  strong->set_use_strong_table_hash(true);
-  Table a = data::SoccerDirtyTable();
-  a.Set(data::SoccerCell(5, "League"), Value::Null());
-  Table b = data::SoccerDirtyTable();
-  b.Set(data::SoccerCell(5, "Country"), Value::Null());
-  for (const Table* table : {&a, &b, &a, &b}) {
-    EXPECT_EQ(strong->EvalTable(*table), verified->EvalTable(*table));
-  }
-  EXPECT_EQ(strong->num_algorithm_calls(), verified->num_algorithm_calls());
-  EXPECT_EQ(strong->num_cache_hits(), verified->num_cache_hits());
-  EXPECT_EQ(strong->num_cache_hits(), 2u);
+TEST(BlackBoxRepairTest, CanonicalWriteSetsShareOneEntry) {
+  // An entry's input is its canonical write set: write order and writes
+  // that re-state the dirty value do not matter, so these three write
+  // sets describe one table and share one repair run.
+  auto box = MakeBox(data::SoccerTargetCell());
+  ASSERT_TRUE(box.ok());
+  const Table& dirty = box->dirty();
+  const CellRef league = data::SoccerCell(5, "League");
+  const CellRef team = data::SoccerCell(1, "Team");
+  const CellRef year = data::SoccerCell(2, "Year");
+  ASSERT_TRUE(dirty.at(year).is_int());
+  const std::vector<CellWrite> forward = {{league, Value::Null()},
+                                          {team, Value::Null()}};
+  const std::vector<CellWrite> reversed = {{team, Value::Null()},
+                                           {league, Value::Null()}};
+  const std::vector<CellWrite> restated = {
+      {team, Value::Null()}, {year, dirty.at(year)}, {league, Value::Null()}};
+  const std::size_t base = box->num_algorithm_calls();
+  const bool outcome = box->EvalPerturbation(forward);
+  EXPECT_EQ(box->EvalPerturbation(reversed), outcome);
+  EXPECT_EQ(box->EvalPerturbation(restated), outcome);
+  EXPECT_EQ(box->num_algorithm_calls(), base + 1);
+  EXPECT_EQ(box->num_cache_hits(), 2u);
+  EXPECT_EQ(box->num_table_memo_entries(), 1u);
+
+  // The same number as a double is a different table (it hashes and
+  // repairs as a different value), so it gets its own run and entry.
+  const std::vector<CellWrite> as_double = {
+      {league, Value::Null()},
+      {team, Value::Null()},
+      {year, Value(static_cast<double>(dirty.at(year).as_int()))}};
+  (void)box->EvalPerturbation(as_double);
+  EXPECT_EQ(box->num_algorithm_calls(), base + 2);
+  EXPECT_EQ(box->num_table_memo_entries(), 2u);
 }
 
 TEST(BlackBoxRepairTest, CollisionPathFallsThroughUnderForcedBucketClash) {
-  // Force every table into one 64-bit bucket (the test-only hook): the
-  // verification layer — full content by default, 128-bit strong hash
-  // when enabled — must still keep distinct inputs apart, never serving
-  // one table's outcome for another.
+  // Force every input into one 64-bit bucket (the test-only hook): the
+  // verification layer — 128-bit fingerprint, then the canonical write
+  // set — must still keep distinct inputs apart, never serving one
+  // input's outcome for another, on both the table and the delta path.
   Table a = data::SoccerDirtyTable();
   a.Set(data::SoccerCell(5, "League"), Value::Null());
   Table b = data::SoccerDirtyTable();
   b.Set(data::SoccerCell(5, "Country"), Value::Null());
-  for (const bool strong_hash : {false, true}) {
-    auto box = MakeBox(data::SoccerTargetCell());
-    ASSERT_TRUE(box.ok());
-    box->set_use_strong_table_hash(strong_hash);
-    box->set_table_bucket_fn_for_test([](const Table&) { return 7u; });
-    const std::size_t base = box->num_algorithm_calls();
-    const bool outcome_a = box->EvalTable(a);
-    const bool outcome_b = box->EvalTable(b);
-    // Distinct entries despite the colliding bucket fingerprint...
-    EXPECT_EQ(box->num_algorithm_calls(), base + 2)
-        << "strong_hash=" << strong_hash;
-    // ...and verified hits on re-evaluation, with unchanged outcomes.
-    EXPECT_EQ(box->EvalTable(a), outcome_a);
-    EXPECT_EQ(box->EvalTable(b), outcome_b);
-    EXPECT_EQ(box->num_algorithm_calls(), base + 2);
-    EXPECT_EQ(box->num_cache_hits(), 2u);
-  }
+  const std::vector<CellWrite> c = {
+      {data::SoccerCell(1, "Team"), Value::Null()}};
+  auto box = MakeBox(data::SoccerTargetCell());
+  ASSERT_TRUE(box.ok());
+  box->set_table_bucket_fn_for_test([](std::uint64_t) { return 7u; });
+  const std::size_t base = box->num_algorithm_calls();
+  const bool outcome_a = box->EvalTable(a);
+  const bool outcome_b = box->EvalTable(b);
+  const bool outcome_c = box->EvalPerturbation(c);
+  // Distinct entries despite the colliding bucket key...
+  EXPECT_EQ(box->num_algorithm_calls(), base + 3);
+  EXPECT_EQ(box->num_table_memo_entries(), 3u);
+  // ...and verified hits on re-evaluation, with unchanged outcomes.
+  EXPECT_EQ(box->EvalTable(a), outcome_a);
+  EXPECT_EQ(box->EvalTable(b), outcome_b);
+  EXPECT_EQ(box->EvalPerturbation(c), outcome_c);
+  EXPECT_EQ(box->num_algorithm_calls(), base + 3);
+  EXPECT_EQ(box->num_cache_hits(), 3u);
 }
 
 TEST(BlackBoxRepairTest, StrongFingerprintSeparatesNearIdenticalTables) {
@@ -399,8 +416,8 @@ TEST(BlackBoxRepairTest, StrongFingerprintSeparatesNearIdenticalTables) {
 TEST(BlackBoxRepairTest, FingerprintsLengthDelimitStringCells) {
   // Without length prefixes, ("a\x03", "b") and ("a", "\x03b") would
   // serialize identically — 0x03 is the kString type tag — and collide
-  // deterministically, which the strong-hash memo mode must never
-  // allow. Regression for exactly that pair.
+  // deterministically, which the memo's 128-bit verification must
+  // never allow. Regression for exactly that pair.
   Table one(Schema::AllStrings({"A", "B"}));
   ASSERT_TRUE(one.AppendRow({Value(std::string("a\x03")), Value("b")}).ok());
   Table two(Schema::AllStrings({"A", "B"}));
@@ -468,13 +485,13 @@ TEST(BlackBoxRepairTest, WarmCacheEvaluationsMakeNoTableCopies) {
   EXPECT_EQ(box->num_algorithm_calls(), calls);
 }
 
-TEST(BlackBoxRepairTest, SealTargetsCompactsMemoAndKeepsOutcomes) {
+TEST(BlackBoxRepairTest, MemoIsCompactAndKeepsOutcomes) {
   auto box = BlackBoxRepair::MakeMultiTarget(
       Algorithm1Singleton().get(), data::SoccerConstraints(),
       data::SoccerDirtyTable(),
       {data::SoccerTargetCell(), data::SoccerCell(5, "City")});
   ASSERT_TRUE(box.ok());
-  // Populate both memos unsealed: every mask, plus a few perturbations.
+  // Populate both memos: every mask, plus a few perturbations.
   std::vector<bool> mask_outcomes;
   for (std::uint64_t mask = 0; mask < 16; ++mask) {
     mask_outcomes.push_back(box->EvalConstraintSubset(mask, 0));
@@ -488,18 +505,20 @@ TEST(BlackBoxRepairTest, SealTargetsCompactsMemoAndKeepsOutcomes) {
     perturbation_outcomes.push_back(
         box->EvalPerturbation(perturbations.back(), 0));
   }
-  const std::size_t unsealed_bytes = box->approx_memo_bytes();
-  const std::size_t calls = box->num_algorithm_calls();
+  // Every miss but the reference wrote one entry; no entry holds a
+  // table, so the memo stays far below one dirty-table copy per entry.
+  const std::size_t entries = box->num_algorithm_calls() - 1;
+  EXPECT_EQ(entries, 15u + perturbations.size());
+  const std::size_t table_copies =
+      entries * box->dirty().ApproxMemoryBytes();
+  EXPECT_GT(box->approx_memo_bytes(), 0u);
+  EXPECT_LE(5 * box->approx_memo_bytes(), table_copies)
+      << "memo=" << box->approx_memo_bytes()
+      << " bytes vs " << entries << " table copies=" << table_copies;
 
-  box->SealTargets();
-  EXPECT_TRUE(box->targets_sealed());
-  const std::size_t sealed_bytes = box->approx_memo_bytes();
-  EXPECT_GE(unsealed_bytes, 5 * sealed_bytes)
-      << "sealing must compact the memo at least 5x (unsealed="
-      << unsealed_bytes << ", sealed=" << sealed_bytes << ")";
-
-  // Every resident entry still answers — bit-identically and without a
+  // Every resident entry answers again — bit-identically and without a
   // single extra repair run.
+  const std::size_t calls = box->num_algorithm_calls();
   std::size_t i = 0;
   for (std::uint64_t mask = 0; mask < 16; ++mask) {
     EXPECT_EQ(box->EvalConstraintSubset(mask, 0), mask_outcomes[i++]);
@@ -512,99 +531,72 @@ TEST(BlackBoxRepairTest, SealTargetsCompactsMemoAndKeepsOutcomes) {
   EXPECT_EQ(box->num_algorithm_calls(), calls);
 }
 
-TEST(BlackBoxRepairTest, SealedBoxMatchesUnsealedTwinEverywhere) {
-  auto sealed = BlackBoxRepair::MakeMultiTarget(
+TEST(BlackBoxRepairTest, MultiTargetBoxMatchesSingleTargetBoxesEverywhere) {
+  // One run answers every target: a two-target box agrees with one
+  // single-target box per target on every evaluation, at the cost of
+  // just one of them.
+  auto both = BlackBoxRepair::MakeMultiTarget(
       Algorithm1Singleton().get(), data::SoccerConstraints(),
       data::SoccerDirtyTable(),
       {data::SoccerTargetCell(), data::SoccerCell(5, "City")});
-  auto unsealed = BlackBoxRepair::MakeMultiTarget(
-      Algorithm1Singleton().get(), data::SoccerConstraints(),
-      data::SoccerDirtyTable(),
-      {data::SoccerTargetCell(), data::SoccerCell(5, "City")});
-  ASSERT_TRUE(sealed.ok());
-  ASSERT_TRUE(unsealed.ok());
-  sealed->SealTargets();  // entries are written compact from the start
+  auto country = MakeBox(data::SoccerTargetCell());
+  auto city = MakeBox(data::SoccerCell(5, "City"));
+  ASSERT_TRUE(both.ok());
+  ASSERT_TRUE(country.ok());
+  ASSERT_TRUE(city.ok());
   for (std::uint64_t mask = 0; mask < 16; ++mask) {
-    for (std::size_t target : {0u, 1u}) {
-      EXPECT_EQ(sealed->EvalConstraintSubset(mask, target),
-                unsealed->EvalConstraintSubset(mask, target));
-    }
+    EXPECT_EQ(both->EvalConstraintSubset(mask, 0),
+              country->EvalConstraintSubset(mask));
+    EXPECT_EQ(both->EvalConstraintSubset(mask, 1),
+              city->EvalConstraintSubset(mask));
   }
   for (std::size_t r = 0; r < 6; ++r) {
     const std::vector<CellWrite> writes = {{CellRef{r, 2}, Value::Null()},
                                            {CellRef{r, 3}, Value::Null()}};
-    for (std::size_t target : {0u, 1u}) {
-      EXPECT_EQ(sealed->EvalPerturbation(writes, target),
-                unsealed->EvalPerturbation(writes, target));
-    }
+    EXPECT_EQ(both->EvalPerturbation(writes, 0),
+              country->EvalPerturbation(writes));
+    EXPECT_EQ(both->EvalPerturbation(writes, 1),
+              city->EvalPerturbation(writes));
   }
-  EXPECT_EQ(sealed->num_algorithm_calls(), unsealed->num_algorithm_calls());
-  EXPECT_EQ(sealed->num_cache_hits(), unsealed->num_cache_hits());
-  EXPECT_LT(sealed->approx_memo_bytes(), unsealed->approx_memo_bytes());
+  EXPECT_EQ(both->num_algorithm_calls(), country->num_algorithm_calls());
+  EXPECT_EQ(both->num_algorithm_calls(), city->num_algorithm_calls());
 }
 
-TEST(BlackBoxRepairTest, PostSealAddTargetFallsBackToRecompute) {
+TEST(BlackBoxRepairTest, LateTargetReadsResidentEntriesWithoutRepairCalls) {
   auto box = MakeBox(data::SoccerTargetCell());
   ASSERT_TRUE(box.ok());
-  box->SealTargets();
-  const bool mask_outcome = box->EvalConstraintSubset(0b0011, 0);
+  std::vector<bool> mask_outcomes;
+  for (std::uint64_t mask = 0; mask < 16; ++mask) {
+    mask_outcomes.push_back(box->EvalConstraintSubset(mask, 0));
+  }
   const std::vector<CellWrite> writes = {{CellRef{0, 0}, Value::Null()}};
   const bool table_outcome = box->EvalPerturbation(writes, 0);
 
-  // Register a target after sealing: resident bitsets do not cover it.
+  // Register a target after the entries were written.
   auto added = box->AddTarget(data::SoccerCell(5, "City"));
   ASSERT_TRUE(added.ok());
-  const std::size_t new_target = *added;
+  const std::size_t late = *added;
 
-  // Ground truth from an unsealed twin with both targets registered.
+  // Ground truth from a fresh box with both targets registered.
   auto twin = BlackBoxRepair::MakeMultiTarget(
       Algorithm1Singleton().get(), data::SoccerConstraints(),
       data::SoccerDirtyTable(),
       {data::SoccerTargetCell(), data::SoccerCell(5, "City")});
   ASSERT_TRUE(twin.ok());
 
-  // The uncovered target recomputes (one extra repair run per entry),
-  // never serves a silently wrong bit...
-  std::size_t calls = box->num_algorithm_calls();
-  EXPECT_EQ(box->EvalConstraintSubset(0b0011, new_target),
-            twin->EvalConstraintSubset(0b0011, new_target));
-  EXPECT_EQ(box->num_algorithm_calls(), calls + 1);
-  calls = box->num_algorithm_calls();
-  EXPECT_EQ(box->EvalPerturbation(writes, new_target),
-            twin->EvalPerturbation(writes, new_target));
-  EXPECT_EQ(box->num_algorithm_calls(), calls + 1);
-
-  // ...and the recompute extends the entry: both targets now hit, and
-  // the original target's answers are unchanged.
-  calls = box->num_algorithm_calls();
-  EXPECT_EQ(box->EvalConstraintSubset(0b0011, new_target),
-            twin->EvalConstraintSubset(0b0011, new_target));
-  EXPECT_EQ(box->EvalConstraintSubset(0b0011, 0), mask_outcome);
-  EXPECT_EQ(box->EvalPerturbation(writes, new_target),
-            twin->EvalPerturbation(writes, new_target));
+  // The late target reads its outcome from the resident entries: zero
+  // extra repair calls, and the original target's answers are unchanged.
+  const std::size_t calls = box->num_algorithm_calls();
+  for (std::uint64_t mask = 0; mask < 16; ++mask) {
+    EXPECT_EQ(box->EvalConstraintSubset(mask, late),
+              twin->EvalConstraintSubset(mask, late))
+        << "mask " << mask;
+    EXPECT_EQ(box->EvalConstraintSubset(mask, 0), mask_outcomes[mask]);
+  }
+  EXPECT_EQ(box->EvalPerturbation(writes, late),
+            twin->EvalPerturbation(writes, late));
   EXPECT_EQ(box->EvalPerturbation(writes, 0), table_outcome);
   EXPECT_EQ(box->num_algorithm_calls(), calls);
-}
-
-TEST(BlackBoxRepairTest, SealedCollisionPathStillFallsThrough) {
-  // The forced-bucket-clash regression, in sealed mode: sealed entries
-  // verify by 128-bit fingerprint, which must still keep distinct
-  // inputs apart under a colliding 64-bit bucket.
-  Table a = data::SoccerDirtyTable();
-  a.Set(data::SoccerCell(5, "League"), Value::Null());
-  Table b = data::SoccerDirtyTable();
-  b.Set(data::SoccerCell(5, "Country"), Value::Null());
-  auto box = MakeBox(data::SoccerTargetCell());
-  ASSERT_TRUE(box.ok());
-  box->SealTargets();
-  box->set_table_bucket_fn_for_test([](const Table&) { return 7u; });
-  const std::size_t base = box->num_algorithm_calls();
-  const bool outcome_a = box->EvalTable(a);
-  const bool outcome_b = box->EvalTable(b);
-  EXPECT_EQ(box->num_algorithm_calls(), base + 2);
-  EXPECT_EQ(box->EvalTable(a), outcome_a);
-  EXPECT_EQ(box->EvalTable(b), outcome_b);
-  EXPECT_EQ(box->num_algorithm_calls(), base + 2);
 }
 
 TEST(CellGameTest, PrunedPlayerListKeepsBackgroundCells) {
