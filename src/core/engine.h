@@ -36,8 +36,9 @@
 // for every other target, so a batch of constraint explanations over k
 // targets costs one sweep of the 2^|C| subsets instead of k sweeps.
 // `BatchStats::cross_request_hits` reports exactly how much work was
-// amortized; `EngineOptions::max_memo_entries` bounds the table memo
-// (full repaired tables) with LRU eviction for large workloads.
+// amortized; `EngineOptions::max_memo_entries` bounds the number of
+// table-memo entries (each a write set plus a disagreement set) with
+// LRU eviction for large workloads.
 // Permutation sweeps shard across a small thread pool with
 // deterministic per-shard seeds (see shapley_sampling.h), so results
 // are bit-identical for every `EngineOptions::num_threads`, between

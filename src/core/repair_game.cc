@@ -50,7 +50,7 @@ bool ExactlyEqual(const Value& a, const Value& b) {
       return std::memcmp(&x, &y, sizeof(x)) == 0;
     }
     case ValueType::kString:
-      return a.as_string() == b.as_string();
+      return a == b;  // one interned record per text: a pointer compare
   }
   return false;
 }
@@ -296,13 +296,9 @@ bool BlackBoxRepair::ReferenceHit(std::size_t target_index) const {
 }
 
 std::size_t BlackBoxRepair::EntryPayloadBytes(const CacheEntry& entry) const {
-  std::size_t bytes = sizeof(CacheEntry) +
-                      entry.writes.capacity() * sizeof(CellWrite) +
-                      entry.disagreements.capacity() * sizeof(std::size_t);
-  for (const CellWrite& write : entry.writes) {
-    if (write.value.is_string()) bytes += write.value.as_string().capacity();
-  }
-  return bytes;
+  // String payloads are shared interned records, owned by no entry.
+  return sizeof(CacheEntry) + entry.writes.capacity() * sizeof(CellWrite) +
+         entry.disagreements.capacity() * sizeof(std::size_t);
 }
 
 bool BlackBoxRepair::CountHit(const CacheEntry& entry,

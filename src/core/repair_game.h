@@ -59,8 +59,10 @@
 // (`num_eval_table_copies()` counts the scratch (re)initializations).
 //
 // `approx_memo_bytes()` estimates the resident payload of both memos
-// (entries × payload estimate); the engine surfaces it through
-// `BatchStats` and the benches' JSON lines.
+// (entries × payload estimate; a written string counts as
+// `sizeof(Value)`, since its text is an interned record shared with the
+// tables); the engine surfaces it through `BatchStats` and the benches'
+// JSON lines.
 //
 // Thread safety: `EvalConstraintSubset` / `EvalTable` /
 // `EvalPerturbation` may be called concurrently (the caches are

@@ -215,10 +215,8 @@ FingerprintDelta Table::WriteDelta(CellRef cell, const Value& value) const {
 }
 
 std::size_t Table::ApproxMemoryBytes() const {
+  // String payloads are shared interned records, owned by no table.
   std::size_t bytes = sizeof(Table) + cells_.capacity() * sizeof(Value);
-  for (const Value& v : cells_) {
-    if (v.is_string()) bytes += v.as_string().capacity();
-  }
   for (std::size_t c = 0; c < schema_.size(); ++c) {
     bytes += schema_.attribute(c).name.capacity();
   }

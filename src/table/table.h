@@ -166,9 +166,11 @@ class Table {
   /// a running fingerprint instead of re-hashing per evaluation.
   FingerprintDelta WriteDelta(CellRef cell, const Value& value) const;
 
-  /// Rough resident footprint in bytes (cell vector + string payloads +
-  /// schema), for memo/cache accounting. An estimate, not an allocator
-  /// measurement.
+  /// Rough resident footprint in bytes (cell vector + schema), for
+  /// memo/cache accounting. String payloads are interned records shared
+  /// with every other value of that text, so a cell costs
+  /// `sizeof(Value)`; `Value::StringPool()` reports the pool itself. An
+  /// estimate, not an allocator measurement.
   std::size_t ApproxMemoryBytes() const;
 
   /// Returns a copy with every cell in `cells` set to null (coalition
