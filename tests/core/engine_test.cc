@@ -458,6 +458,170 @@ TEST(EngineTest, BatchLevelCancelShortCircuitsRemainingSlots) {
   EXPECT_EQ(ok_batch->stats.cancelled_requests, 0u);
 }
 
+TEST(EngineTest, CellSamplingMatchesTheGenericSweepOnACellGame) {
+  // kCells sampling under kNull is the generic permutation sweep over a
+  // CellGame on the same box and player list: same seed, same 32-sweep
+  // shards, bit-identical estimates — for a fixed budget and for an
+  // anytime run, at any thread count. The anytime target freezes most
+  // players after the first wave and the rest later, so this also pins
+  // the engine's freeze path.
+  const CellRef target = data::SoccerTargetCell();
+  constexpr std::size_t kBudget = 400;
+  constexpr std::uint64_t kSeed = 21;
+  constexpr std::size_t kCheckInterval = 32;
+  for (const std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
+    for (const bool anytime : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << num_threads
+                                      << " anytime=" << anytime);
+      ExplainRequest request = CellsRequest(target, kBudget, kSeed);
+      request.cells.prune = false;  // players = every cell
+      shap::SamplingOptions sampling;
+      sampling.num_samples = kBudget;
+      sampling.seed = kSeed;
+      sampling.shard_size = 32;
+      sampling.num_threads = num_threads;
+      if (anytime) {
+        AnytimeOptions options;
+        options.target_ci_half_width = 0.1;
+        options.check_interval = kCheckInterval;
+        request.anytime = options;
+        sampling.stop.target_half_width = 0.1;
+        sampling.check_interval = kCheckInterval;
+      }
+      EngineOptions engine_options;
+      engine_options.num_threads = num_threads;
+      Engine engine(Alg(), data::SoccerConstraints(), data::SoccerDirtyTable(),
+                    engine_options);
+      auto result = engine.Explain(request);
+      ASSERT_TRUE(result.ok()) << result.status();
+
+      auto box = BlackBoxRepair::Make(Alg().get(), data::SoccerConstraints(),
+                                      data::SoccerDirtyTable(), target);
+      ASSERT_TRUE(box.ok()) << box.status();
+      CellGame game(&*box, box->dirty().AllCells());
+      shap::SweepOutcome outcome;
+      auto estimates = shap::EstimateShapleyAllPlayers(game, sampling, &outcome);
+      ASSERT_TRUE(estimates.ok()) << estimates.status();
+
+      EXPECT_EQ(result->sweeps, outcome.sweeps);
+      EXPECT_EQ(result->early_stopped, outcome.stopped_early);
+      const Explanation& ex = *result->explanation;
+      ASSERT_EQ(ex.ranked.size(), estimates->size());
+      bool froze_before_the_end = false;
+      for (const PlayerScore& score : ex.ranked) {
+        const shap::Estimate& expected =
+            (*estimates)[box->dirty().LinearIndex(*score.cell)];
+        EXPECT_EQ(score.shapley, expected.value) << score.label;
+        EXPECT_EQ(score.std_error, expected.std_error) << score.label;
+        EXPECT_EQ(score.num_samples, expected.num_samples) << score.label;
+        froze_before_the_end |= score.num_samples < result->sweeps;
+      }
+      if (anytime) {
+        EXPECT_GT(outcome.frozen_players, 0u);
+        EXPECT_GT(outcome.sweeps, kCheckInterval);
+        EXPECT_LT(outcome.sweeps, kBudget);
+        EXPECT_TRUE(froze_before_the_end);
+      } else {
+        EXPECT_EQ(outcome.sweeps, kBudget);
+      }
+    }
+  }
+}
+
+TEST(EngineTest, ColumnSampleCellAnswersArePinned) {
+  // kCells under kSampleFromColumn: each sweep draws its permutation,
+  // then one replacement per player in player order. These values were
+  // recorded from that stream; any change to the draw order moves them.
+  struct Pin {
+    const char* label;
+    double shapley;
+    double std_error;
+    std::size_t num_samples;
+  };
+  const Pin pins[] = {
+      {"t2[Country]", 0x1.2p-3, 0x1.66caa7ca3ce37p-5, 64},
+      {"t6[Country]", 0x1.2p-3, 0x1.66caa7ca3ce36p-5, 64},
+      {"t3[Country]", 0x1.cp-4, 0x1.4220532e48a3dp-5, 64},
+      {"t1[Country]", 0x1.0000000000001p-4, 0x1.f3a92ca2f4b7cp-6, 64},
+      {"t2[Team]", 0x1.8000000000001p-5, 0x1.b44f60ac465aap-6, 64},
+      {"t4[Team]", 0x1.0000000000001p-5, 0x1.672763164bb61p-6, 64},
+      {"t5[City]", 0x1.0000000000001p-5, 0x1p-5, 64},
+      {"t5[Team]", 0x1.0000000000001p-6, 0x1.fffffffffffffp-7, 64},
+      {"t1[League]", 0x0p+0, 0x0p+0, 64},
+      {"t2[League]", 0x0p+0, 0x0p+0, 64},
+      {"t3[League]", 0x0p+0, 0x0p+0, 64},
+      {"t4[City]", 0x0p+0, 0x1.6ce6931d5858dp-6, 64},
+      {"t4[League]", 0x0p+0, 0x0p+0, 64},
+      {"t5[League]", 0x0p+0, 0x0p+0, 64},
+      {"t6[Team]", 0x0p+0, 0x0p+0, 64},
+      {"t6[City]", 0x0p+0, 0x1.6ce6931d5858dp-6, 64},
+      {"t6[League]", 0x0p+0, 0x0p+0, 64},
+      {"t1[City]", -0x1p-6, 0x1.2007393ff2a57p-5, 64},
+      {"t3[City]", -0x1p-6, 0x1.fffffffffffffp-7, 64},
+      {"t3[Team]", -0x1p-5, 0x1p-5, 64},
+      {"t2[City]", -0x1.0000000000001p-5, 0x1.672763164bb62p-6, 64},
+      {"t4[Country]", -0x1.0000000000001p-4, 0x1.355c0f0f551bfp-5, 64},
+      {"t5[Country]", -0x1.4000000000001p-4, 0x1.4bac3db22d138p-5, 64},
+      {"t1[Team]", -0x1.8p-4, 0x1.2cd5ede9b5cbap-5, 64},
+  };
+  for (const std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << num_threads);
+    EngineOptions options;
+    options.num_threads = num_threads;
+    Engine engine(Alg(), data::SoccerConstraints(), data::SoccerDirtyTable(),
+                  options);
+    ExplainRequest request =
+        CellsRequest(data::SoccerTargetCell(), 64, /*seed=*/31);
+    request.cells.policy = AbsentCellPolicy::kSampleFromColumn;
+    auto result = engine.Explain(request);
+    ASSERT_TRUE(result.ok()) << result.status();
+    const Explanation& ex = *result->explanation;
+    EXPECT_EQ(ex.method,
+              "sampling(m=64, policy=column-sample, players=24/36)");
+    EXPECT_EQ(result->sweeps, 64u);
+    ASSERT_EQ(ex.ranked.size(), std::size(pins));
+    for (std::size_t i = 0; i < ex.ranked.size(); ++i) {
+      EXPECT_EQ(ex.ranked[i].label, pins[i].label) << i;
+      EXPECT_EQ(ex.ranked[i].shapley, pins[i].shapley) << pins[i].label;
+      EXPECT_EQ(ex.ranked[i].std_error, pins[i].std_error) << pins[i].label;
+      EXPECT_EQ(ex.ranked[i].num_samples, pins[i].num_samples)
+          << pins[i].label;
+    }
+  }
+}
+
+TEST(EngineTest, TopKCellRankingIsPinned) {
+  // The adaptive top-1 ranking stops at the first 16-sweep round where
+  // the leader's CI separates from the runner-up's.
+  const std::vector<std::string> ranking = {
+      "t5[League]", "t1[Country]", "t6[Country]", "t5[Team]",
+      "t2[Country]", "t3[Country]", "t2[City]",   "t6[Team]",
+      "t3[City]",   "t6[City]",    "t1[League]",  "t6[League]",
+      "t1[City]",   "t3[League]",  "t1[Team]",    "t2[Team]",
+      "t2[League]", "t4[Team]",    "t4[City]",    "t4[Country]",
+      "t4[League]", "t5[City]",    "t5[Country]", "t3[Team]"};
+  for (const std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << num_threads);
+    EngineOptions options;
+    options.num_threads = num_threads;
+    Engine engine(Alg(), data::SoccerConstraints(), data::SoccerDirtyTable(),
+                  options);
+    CellExplainerOptions cells;
+    cells.policy = AbsentCellPolicy::kNull;
+    cells.num_samples = 1024;
+    cells.seed = 7;
+    auto ex = engine.ExplainTopKCells(data::SoccerTargetCell(), 1, cells);
+    ASSERT_TRUE(ex.ok()) << ex.status();
+    EXPECT_EQ(ex->method, "topk(k=1, sweeps=96, separated=yes)");
+    std::vector<std::string> labels;
+    for (const PlayerScore& score : ex->ranked) {
+      labels.push_back(score.label);
+      EXPECT_EQ(score.num_samples, 96u) << score.label;
+    }
+    EXPECT_EQ(labels, ranking);
+  }
+}
+
 TEST(EngineTest, ExplainKindNames) {
   EXPECT_STREQ(ExplainKindToString(ExplainKind::kConstraints),
                "constraints");
