@@ -227,20 +227,30 @@ void TopKAblation(const repair::RuleRepair& alg) {
   if (!box.ok()) std::exit(1);
   CellGame game(&*box, box->dirty().AllCells());
 
-  shap::TopKOptions options;
-  options.k = 1;
-  options.batch = 8;
-  options.max_samples = 512;
+  // Top-k is a stopping rule on the sweep estimator: one sweep per
+  // shard, CI separation tested every 8 sweeps.
+  shap::SamplingOptions options;
+  options.num_samples = 512;
   options.seed = 1010;
-  shap::TopKResult result;
+  options.shard_size = 1;
+  options.check_interval = 8;
+  options.stop.top_k = 1;
+  options.stop.z = 2.0;
+  options.stop.min_samples = 8;
+  std::vector<shap::Estimate> estimates;
+  shap::SweepOutcome outcome;
   const double seconds = bench::TimeSeconds([&] {
-    auto r = shap::EstimateTopKPlayers(game, options);
+    auto r = shap::EstimateShapleyAllPlayers(game, options, &outcome);
     if (!r.ok()) std::exit(1);
-    result = std::move(r).value();
+    estimates = std::move(r).value();
   });
-  const CellRef top = box->dirty().FromLinearIndex(result.ranking[0]);
+  std::size_t best = 0;
+  for (std::size_t p = 1; p < estimates.size(); ++p) {
+    if (estimates[p].value > estimates[best].value) best = p;
+  }
+  const CellRef top = box->dirty().FromLinearIndex(best);
   std::printf("top-1 after %zu sweeps (separated=%s, %.3fs): %s\n",
-              result.sweeps, result.separated ? "yes" : "no", seconds,
+              outcome.sweeps, outcome.separated ? "yes" : "no", seconds,
               top.ToString(box->dirty().schema()).c_str());
   bench::Verdict(top == data::SoccerCell(5, "League"),
                  "adaptive driver finds t5[League] as top-1 and stops "

@@ -16,11 +16,6 @@
 namespace trex {
 namespace {
 
-/// Permutation sweeps per shard of the sharded cell sampler: the unit of
-/// parallel work and of the early-stopping check. Fixed (not an option)
-/// so that estimates never depend on the execution configuration.
-constexpr std::size_t kCellShardSize = 32;
-
 /// Sorts player scores descending by Shapley value; ties keep the
 /// original player order (stable), making output deterministic.
 void RankDescending(std::vector<PlayerScore>* scores) {
@@ -28,6 +23,74 @@ void RankDescending(std::vector<PlayerScore>* scores) {
                    [](const PlayerScore& a, const PlayerScore& b) {
                      return a.shapley > b.shapley;
                    });
+}
+
+/// The request kind's sampling options (budget, seed, and for
+/// kConstraints the caller's own options) with `anytime` lowered onto
+/// them: the stopping rule, its check interval and the sweep budget
+/// override. Sampling options that carry their own stopping rule keep
+/// it.
+shap::SamplingOptions LowerAnytime(const ExplainRequest& request,
+                                   const AnytimeOptions& anytime) {
+  shap::SamplingOptions sampling;
+  if (request.kind == ExplainKind::kConstraints) {
+    sampling = request.constraints.sampling;
+  } else {
+    sampling.num_samples = request.cells.num_samples;
+    sampling.seed = request.cells.seed;
+  }
+  if (sampling.stop.active() || !anytime.enabled()) return sampling;
+  shap::StopRule& stop = sampling.stop;
+  stop.target_half_width = anytime.target_ci_half_width;
+  stop.bound = anytime.bound;
+  stop.z = anytime.z;
+  stop.delta = anytime.delta;
+  stop.min_samples = anytime.min_samples;
+  stop.freeze_converged = anytime.freeze_converged;
+  sampling.check_interval = anytime.check_interval;
+  if (anytime.max_sweeps > 0) sampling.num_samples = anytime.max_sweeps;
+  return sampling;
+}
+
+/// kAuto resolves to exact cell Shapley only for the deterministic
+/// (null-policy) game on a small player set.
+CellMethod ResolveCellMethod(const CellExplainerOptions& options,
+                             std::size_t num_players) {
+  if (options.method != CellMethod::kAuto) return options.method;
+  return options.policy == AbsentCellPolicy::kNull &&
+                 num_players <= options.max_exact_players
+             ? CellMethod::kExact
+             : CellMethod::kSampling;
+}
+
+/// One score per player cell, ranked descending.
+std::vector<PlayerScore> CellScores(
+    const Schema& schema, const std::vector<CellRef>& players,
+    const std::vector<shap::Estimate>& estimates) {
+  std::vector<PlayerScore> scores;
+  scores.reserve(players.size());
+  for (std::size_t i = 0; i < players.size(); ++i) {
+    PlayerScore score;
+    score.cell = players[i];
+    score.label = players[i].ToString(schema);
+    score.shapley = estimates[i].value;
+    score.std_error = estimates[i].std_error;
+    score.num_samples = estimates[i].num_samples;
+    scores.push_back(std::move(score));
+  }
+  RankDescending(&scores);
+  return scores;
+}
+
+/// Copies a sweep outcome's anytime telemetry onto the request's result.
+void RecordOutcome(const shap::SweepOutcome& outcome, ExplainResult* result) {
+  if (result == nullptr) return;
+  result->sweeps = outcome.sweeps;
+  if (outcome.waves > 0) {
+    result->achieved_ci_half_width = outcome.achieved_half_width;
+  }
+  result->early_stopped = outcome.stopped_early;
+  result->approximate = outcome.softened;
 }
 
 Explanation MakeBaseExplanation(const BlackBoxRepair& box,
@@ -189,7 +252,33 @@ Status Engine::ValidateRequest(const ExplainRequest& request) const {
     return Status::OutOfRange("target cell " + request.target.ToString() +
                               " outside the table");
   }
+  // A sampled request with no sweeps has no estimate to return.
+  if (LowerAnytime(request, EffectiveAnytime(request)).num_samples == 0 &&
+      IsSampled(request)) {
+    return Status::InvalidArgument(
+        "sweep budget must be positive (num_samples, or anytime.max_sweeps "
+        "when set)");
+  }
   return Status::Ok();
+}
+
+bool Engine::IsSampled(const ExplainRequest& request) const {
+  switch (request.kind) {
+    case ExplainKind::kConstraints:
+      return request.constraints.force_sampling ||
+             dcs_.size() > request.constraints.max_exact_players;
+    case ExplainKind::kCells:
+      return ResolveCellMethod(
+                 request.cells,
+                 PlayerCells(request.cells, request.target).size()) ==
+             CellMethod::kSampling;
+    case ExplainKind::kSingleCell:
+      return true;
+    case ExplainKind::kInteractions:
+    case ExplainKind::kRemovalSets:
+      return false;
+  }
+  return false;
 }
 
 Result<ExplainResult> Engine::Explain(const ExplainRequest& request) {
@@ -349,54 +438,40 @@ const AnytimeOptions& Engine::EffectiveAnytime(
   return request.anytime.has_value() ? *request.anytime : options_.anytime;
 }
 
-shap::StopRule Engine::EffectiveStopRule(const ExplainRequest& request) const {
-  const AnytimeOptions& any = EffectiveAnytime(request);
-  shap::StopRule stop;
-  if (any.enabled()) {
-    stop.target_half_width = any.target_ci_half_width;
-    stop.bound = any.bound;
-    stop.z = any.z;
-    stop.delta = any.delta;
-    stop.min_samples = any.min_samples;
-    stop.freeze_converged = any.freeze_converged;
+shap::SamplingOptions Engine::SweepOptions(const ExplainRequest& request) {
+  shap::SamplingOptions sampling =
+      LowerAnytime(request, EffectiveAnytime(request));
+  // The soften and cancel tokens are merged either way, so deadline
+  // degradation and cancellation reach every sampled path.
+  sampling.stop.soften =
+      CancelToken::AnyOf(sampling.stop.soften, request.soften);
+  sampling.cancel = CancelToken::AnyOf(sampling.cancel, request.cancel);
+  // 0 = unset: inherit the engine's thread count (and its persistent
+  // pool). An explicit value is respected as a per-request override
+  // and runs on its own transient pool.
+  if (sampling.num_threads == 0) {
+    sampling.num_threads = options_.num_threads;
+    sampling.pool = SweepPool();
   }
-  return stop;
+  return sampling;
 }
-
-namespace {
-
-/// Copies a sweep outcome's anytime telemetry onto the request's result.
-void RecordOutcome(const shap::SweepOutcome& outcome, ExplainResult* result) {
-  if (result == nullptr) return;
-  result->sweeps = outcome.sweeps;
-  if (outcome.waves > 0) {
-    result->achieved_ci_half_width = outcome.achieved_half_width;
-  }
-  result->early_stopped = outcome.stopped_early;
-  result->approximate = outcome.softened;
-}
-
-}  // namespace
 
 Result<Explanation> Engine::ExplainConstraints(std::size_t target_index,
                                                const ExplainRequest& request,
                                                ExplainResult* result) {
   const ConstraintExplainerOptions& options = request.constraints;
-  const CancelToken& cancel = request.cancel;
   TREX_RETURN_NOT_OK(RequireRepairedTarget(target_index));
 
   ConstraintGame game(&*box_, target_index);
   Explanation ex = MakeBaseExplanation(*box_, target_index);
 
-  const bool exact =
-      !options.force_sampling && dcs_.size() <= options.max_exact_players;
+  const bool exact = !IsSampled(request);
   if (options.use_banzhaf && !exact) {
     return Status::InvalidArgument(
         "Banzhaf attribution is exact-only; reduce the constraint count "
         "or raise max_exact_players");
   }
-  std::vector<PlayerScore> scores;
-  scores.reserve(dcs_.size());
+  std::vector<shap::Estimate> estimates;
   if (exact) {
     shap::ExactShapleyOptions exact_options;
     exact_options.max_players = options.max_exact_players;
@@ -404,58 +479,33 @@ Result<Explanation> Engine::ExplainConstraints(std::size_t target_index,
     // values are bit-identical for every thread count.
     exact_options.num_threads = options_.num_threads;
     exact_options.pool = SweepPool();
-    exact_options.cancel = cancel;
+    exact_options.cancel = request.cancel;
     TREX_ASSIGN_OR_RETURN(
         std::vector<double> values,
         options.use_banzhaf
             ? shap::ComputeExactBanzhaf(game, exact_options)
             : shap::ComputeExactShapley(game, exact_options));
-    for (std::size_t i = 0; i < dcs_.size(); ++i) {
-      PlayerScore score;
-      score.label = dcs_.at(i).name();
-      score.shapley = values[i];
-      score.constraint_index = i;
-      scores.push_back(std::move(score));
-    }
+    estimates.reserve(values.size());
+    for (double value : values) estimates.push_back({.value = value});
     ex.method = options.use_banzhaf ? "exact(banzhaf)" : "exact";
   } else {
-    shap::SamplingOptions sampling = options.sampling;
-    sampling.cancel = CancelToken::AnyOf(sampling.cancel, cancel);
-    // 0 = unset: inherit the engine's thread count (and its persistent
-    // pool). An explicit value is respected as a per-request override
-    // and runs on its own transient pool.
-    if (sampling.num_threads == 0) {
-      sampling.num_threads = options_.num_threads;
-      sampling.pool = SweepPool();
-    }
-    // Anytime stopping: the request-level rule applies unless the
-    // caller's sampling options carry their own; the soften token is
-    // merged either way so deadline degradation reaches every path.
-    const AnytimeOptions& anytime = EffectiveAnytime(request);
-    if (!sampling.stop.active() && anytime.enabled()) {
-      sampling.stop = EffectiveStopRule(request);
-      sampling.check_interval = anytime.check_interval;
-      if (anytime.max_sweeps > 0) sampling.num_samples = anytime.max_sweeps;
-    }
-    sampling.stop.soften =
-        CancelToken::AnyOf(sampling.stop.soften, request.soften);
+    const shap::SamplingOptions sampling = SweepOptions(request);
     shap::SweepOutcome outcome;
     TREX_ASSIGN_OR_RETURN(
-        std::vector<shap::Estimate> estimates,
-        shap::EstimateShapleyAllPlayers(game, sampling, &outcome));
+        estimates, shap::EstimateShapleyAllPlayers(game, sampling, &outcome));
     RecordOutcome(outcome, result);
-    for (std::size_t i = 0; i < dcs_.size(); ++i) {
-      PlayerScore score;
-      score.label = dcs_.at(i).name();
-      score.shapley = estimates[i].value;
-      score.std_error = estimates[i].std_error;
-      score.num_samples = estimates[i].num_samples;
-      score.constraint_index = i;
-      scores.push_back(std::move(score));
-    }
     ex.method = StrFormat("sampling(m=%zu)", sampling.num_samples);
   }
-  ex.ranked = std::move(scores);
+  ex.ranked.reserve(dcs_.size());
+  for (std::size_t i = 0; i < dcs_.size(); ++i) {
+    PlayerScore score;
+    score.label = dcs_.at(i).name();
+    score.shapley = estimates[i].value;
+    score.std_error = estimates[i].std_error;
+    score.num_samples = estimates[i].num_samples;
+    score.constraint_index = i;
+    ex.ranked.push_back(std::move(score));
+  }
   RankDescending(&ex.ranked);
   return ex;
 }
@@ -512,8 +562,8 @@ Result<std::vector<std::vector<std::string>>> Engine::ExplainRemovalSets(
   return named;
 }
 
-Result<std::vector<CellRef>> Engine::PlayerCells(
-    const CellExplainerOptions& options, CellRef target) const {
+std::vector<CellRef> Engine::PlayerCells(const CellExplainerOptions& options,
+                                         CellRef target) const {
   if (!options.prune) return dirty_->AllCells();
   std::optional<dc::AttributeGraph> graph =
       algorithm_->InfluenceGraph(dcs_, dirty_->schema());
@@ -527,187 +577,55 @@ Result<Explanation> Engine::ExplainCells(std::size_t target_index,
                                          const ExplainRequest& request,
                                          ExplainResult* result) {
   const CellExplainerOptions& options = request.cells;
-  const CancelToken& cancel = request.cancel;
   TREX_RETURN_NOT_OK(RequireRepairedTarget(target_index));
-  const CellRef target = box_->target(target_index);
-  TREX_ASSIGN_OR_RETURN(std::vector<CellRef> players,
-                        PlayerCells(options, target));
+  const std::vector<CellRef> players =
+      PlayerCells(options, box_->target(target_index));
   if (players.empty()) {
     return Status::InvalidArgument("no candidate player cells");
   }
-
-  CellMethod method = options.method;
-  if (method == CellMethod::kAuto) {
-    method = (options.policy == AbsentCellPolicy::kNull &&
-              players.size() <= options.max_exact_players)
-                 ? CellMethod::kExact
-                 : CellMethod::kSampling;
+  const CellMethod method = ResolveCellMethod(options, players.size());
+  if (method == CellMethod::kExact &&
+      options.policy != AbsentCellPolicy::kNull) {
+    return Status::InvalidArgument(
+        "exact cell Shapley requires AbsentCellPolicy::kNull (the "
+        "column-sample policy defines a stochastic game)");
   }
 
+  CellGame game(&*box_, players, target_index, options.policy);
   Explanation ex = MakeBaseExplanation(*box_, target_index);
-  std::vector<PlayerScore> scores;
-  scores.reserve(players.size());
-
+  std::vector<shap::Estimate> estimates;
   if (method == CellMethod::kExact) {
-    if (options.policy != AbsentCellPolicy::kNull) {
-      return Status::InvalidArgument(
-          "exact cell Shapley requires AbsentCellPolicy::kNull (the "
-          "column-sample policy defines a stochastic game)");
-    }
-    CellGame game(&*box_, players, target_index);
     shap::ExactShapleyOptions exact_options;
     exact_options.max_players = options.max_exact_players;
     exact_options.num_threads = options_.num_threads;
     exact_options.pool = SweepPool();
-    exact_options.cancel = cancel;
+    exact_options.cancel = request.cancel;
     TREX_ASSIGN_OR_RETURN(std::vector<double> values,
                           shap::ComputeExactShapley(game, exact_options));
-    for (std::size_t i = 0; i < players.size(); ++i) {
-      PlayerScore score;
-      score.cell = players[i];
-      score.label = players[i].ToString(dirty_->schema());
-      score.shapley = values[i];
-      scores.push_back(std::move(score));
-    }
+    estimates.reserve(values.size());
+    for (double value : values) estimates.push_back({.value = value});
     ex.method = "exact(null-policy)";
   } else {
     // Permutation-sweep sampling with the configured replacement policy
-    // (Example 2.5 generalized to rank all players per sweep), sharded
-    // like shap::EstimateShapleyAllPlayers: fixed shards with derived
-    // seeds make the estimates independent of thread count.
-    TableStats stats(&box_->dirty());
-    if (options.policy == AbsentCellPolicy::kSampleFromColumn) {
-      // Pre-build the column distributions serially: TableStats builds
-      // lazily and shards must not race the first build.
-      for (const CellRef& cell : players) stats.Column(cell.col);
-    }
-
-    auto replacement = [&](CellRef cell, Rng* rng) -> Value {
-      if (options.policy == AbsentCellPolicy::kNull) return Value::Null();
-      const ColumnStats& column = stats.Column(cell.col);
-      if (column.total() == 0) return Value::Null();
-      return column.Sample(rng);
-    };
-
-    auto one_sweep = [&](Rng* rng, std::vector<shap::RunningStat>* running,
-                         const std::vector<bool>& frozen) {
-      const std::vector<std::size_t> perm = rng->Permutation(players.size());
-      // Baseline: every player absent (replaced); non-players untouched.
-      // The working table is a *write set* over the dirty table —
-      // restoring a player removes its write (swap-with-last; delta
-      // fingerprints are order-insensitive) and XORs its precomputed
-      // delta out of the running fingerprint, so each evaluation costs
-      // O(1) hashing and the perturbed table is never materialized on
-      // the memo hit path. Replacement draws stay in the exact order of
-      // the materialized loop, so estimates are bit-identical. Frozen
-      // players still have their writes removed in permutation order
-      // (other players' coalitions are undisturbed) but skip both of
-      // their evaluations; the preceding state is re-evaluated lazily
-      // when the next unfrozen player needs it.
-      std::vector<CellWrite> writes;
-      std::vector<FingerprintDelta> deltas;  // parallel to `writes`
-      writes.reserve(players.size());
-      deltas.reserve(players.size());
-      std::vector<std::size_t> slot_of(players.size());   // player -> slot
-      std::vector<std::size_t> player_at(players.size()); // slot -> player
-      std::uint64_t fp64 = 0;
-      Hash128 fp128;
-      box_->dirty_fingerprints(&fp64, &fp128);
-      for (std::size_t i = 0; i < players.size(); ++i) {
-        Value value = replacement(players[i], rng);
-        const FingerprintDelta delta =
-            box_->dirty().WriteDelta(players[i], value);
-        fp64 ^= delta.fp64;
-        fp128 ^= delta.fp128;
-        writes.push_back({players[i], std::move(value)});
-        deltas.push_back(delta);
-        slot_of[i] = i;
-        player_at[i] = i;
-      }
-      double prev = 0.0;
-      bool have_prev = false;
-      // One permutation sweep is the cancellation unit:
-      // trex-check-ok(cancel-poll): RunShardedSweeps polls at shard bounds
-      for (std::size_t pos = 0; pos < perm.size(); ++pos) {
-        const std::size_t player = perm[pos];
-        const std::size_t slot = slot_of[player];
-        const std::size_t last = writes.size() - 1;
-        const std::size_t moved = player_at[last];
-        if (!frozen[player] && !have_prev) {
-          // State before this player's restoration (the all-absent
-          // baseline on the first unfrozen player).
-          prev = box_->EvalPerturbation(writes, fp64, fp128, target_index)
-                     ? 1.0
-                     : 0.0;
-        }
-        fp64 ^= deltas[slot].fp64;  // deltas are self-inverse
-        fp128 ^= deltas[slot].fp128;
-        std::swap(writes[slot], writes[last]);
-        std::swap(deltas[slot], deltas[last]);
-        writes.pop_back();
-        deltas.pop_back();
-        slot_of[moved] = slot;
-        player_at[slot] = moved;
-        if (frozen[player]) {
-          have_prev = false;
-          continue;
-        }
-        const double curr =
-            box_->EvalPerturbation(writes, fp64, fp128, target_index)
-                ? 1.0
-                : 0.0;
-        (*running)[player].Add(curr - prev);
-        prev = curr;
-        have_prev = true;
-      }
-    };
-
-    const AnytimeOptions& anytime = EffectiveAnytime(request);
-    shap::ShardedSweepConfig config;
-    config.num_samples = options.num_samples;
-    config.shard_size = kCellShardSize;
-    config.num_threads = options_.num_threads;
-    config.seed = options.seed;
-    if (anytime.enabled()) {
-      config.stop = EffectiveStopRule(request);
-      config.check_interval = anytime.check_interval;
-      if (anytime.max_sweeps > 0) config.num_samples = anytime.max_sweeps;
-    }
-    config.stop.soften =
-        CancelToken::AnyOf(config.stop.soften, request.soften);
-    config.pool = SweepPool();
-    config.cancel = cancel;
-    shap::SweepOutcome outcome =
-        shap::RunShardedSweeps(config, players.size(), one_sweep);
-    if (cancel.cancelled()) {
-      return Status::Cancelled("cell explanation cancelled mid-sweep");
-    }
+    // (Example 2.5 generalized to rank all players per sweep).
+    const shap::SamplingOptions sampling = SweepOptions(request);
+    shap::SweepOutcome outcome;
+    TREX_ASSIGN_OR_RETURN(
+        estimates, shap::EstimateShapleyAllPlayers(game, sampling, &outcome));
     RecordOutcome(outcome, result);
-
-    for (std::size_t i = 0; i < players.size(); ++i) {
-      const shap::Estimate estimate = outcome.stats[i].ToEstimate();
-      PlayerScore score;
-      score.cell = players[i];
-      score.label = players[i].ToString(dirty_->schema());
-      score.shapley = estimate.value;
-      score.std_error = estimate.std_error;
-      score.num_samples = estimate.num_samples;
-      scores.push_back(std::move(score));
-    }
     ex.method = StrFormat(
-        "sampling(m=%zu, policy=%s, players=%zu/%zu)",
-        config.num_samples, AbsentCellPolicyToString(options.policy),
-        players.size(), dirty_->num_cells());
+        "sampling(m=%zu, policy=%s, players=%zu/%zu)", sampling.num_samples,
+        AbsentCellPolicyToString(options.policy), players.size(),
+        dirty_->num_cells());
   }
-
-  ex.ranked = std::move(scores);
-  RankDescending(&ex.ranked);
+  ex.ranked = CellScores(dirty_->schema(), players, estimates);
   return ex;
 }
 
 Result<Explanation> Engine::ExplainTopKCells(
     CellRef target, std::size_t k, const CellExplainerOptions& options,
     CancelToken cancel, CancelToken soften) {
+  if (k == 0) return Status::InvalidArgument("k must be positive");
   if (options.policy != AbsentCellPolicy::kNull) {
     return Status::InvalidArgument(
         "ExplainTopK requires AbsentCellPolicy::kNull (the adaptive "
@@ -723,52 +641,47 @@ Result<Explanation> Engine::ExplainTopKCells(
   box_->BeginRequest(next_request_id_++);
   TREX_ASSIGN_OR_RETURN(const std::size_t target_index, EnsureTarget(target));
   TREX_RETURN_NOT_OK(RequireRepairedTarget(target_index));
-  TREX_ASSIGN_OR_RETURN(std::vector<CellRef> players,
-                        PlayerCells(options, target));
+  const std::vector<CellRef> players = PlayerCells(options, target);
   if (players.empty()) {
     return Status::InvalidArgument("no candidate player cells");
   }
 
   CellGame game(&*box_, players, target_index);
-  shap::TopKOptions topk;
-  topk.k = k;
-  topk.max_samples = options.num_samples;
-  topk.seed = options.seed;
-  // Refinement rounds fan out over the engine's persistent pool; the
-  // separation test runs at round boundaries on deterministically
-  // merged statistics, so the ranking is thread-count independent.
-  topk.num_threads = options_.num_threads;
-  topk.pool = SweepPool();
+  // Top-k separation on the sweep estimator: one sweep per shard, and a
+  // 16-sweep round per wave whose sweeps run concurrently on the
+  // engine's pool. The separation test runs at round boundaries on
+  // deterministically merged statistics, so the ranking is
+  // thread-count independent.
+  shap::SamplingOptions sampling;
+  sampling.num_samples = options.num_samples;
+  sampling.seed = options.seed;
+  sampling.shard_size = 1;
+  sampling.check_interval = 16;
+  sampling.num_threads = options_.num_threads;
+  sampling.pool = SweepPool();
+  sampling.stop.top_k = k;
+  sampling.stop.z = 2.0;
+  sampling.stop.min_samples = 8;
   if (options_.anytime.enabled()) {
-    topk.bound = options_.anytime.bound;
-    topk.z = options_.anytime.z;
+    sampling.stop.bound = options_.anytime.bound;
+    sampling.stop.z = options_.anytime.z;
   }
+  sampling.stop.soften = std::move(soften);
   // Same failure channel as Explain: a failed eval taints the run, so
   // the repair failure wins over any dispatch outcome — abort-driven
   // kCancelled, another error, or nominal success on placeholders.
-  topk.cancel = CancelToken::AnyOf(cancel, box_->eval_abort_token());
-  topk.soften = std::move(soften);
-  auto topk_run = shap::EstimateTopKPlayers(game, topk);
+  sampling.cancel = CancelToken::AnyOf(cancel, box_->eval_abort_token());
+  shap::SweepOutcome outcome;
+  auto estimates = shap::EstimateShapleyAllPlayers(game, sampling, &outcome);
   Status eval = box_->eval_error();
   if (!eval.ok()) return eval;
-  if (!topk_run.ok()) return topk_run.status();
-  shap::TopKResult result = std::move(*topk_run);
+  if (!estimates.ok()) return estimates.status();
 
   Explanation ex = MakeBaseExplanation(*box_, target_index);
-  ex.ranked.reserve(players.size());
-  for (std::size_t player : result.ranking) {
-    const shap::Estimate& estimate = result.estimates[player];
-    PlayerScore score;
-    score.cell = players[player];
-    score.label = players[player].ToString(dirty_->schema());
-    score.shapley = estimate.value;
-    score.std_error = estimate.std_error;
-    score.num_samples = estimate.num_samples;
-    ex.ranked.push_back(std::move(score));
-  }
+  ex.ranked = CellScores(dirty_->schema(), players, *estimates);
   ex.method = StrFormat("topk(k=%zu, sweeps=%zu, separated=%s%s)", k,
-                        result.sweeps, result.separated ? "yes" : "no",
-                        result.softened ? ", softened" : "");
+                        outcome.sweeps, outcome.separated ? "yes" : "no",
+                        outcome.softened ? ", softened" : "");
   ex.algorithm_calls = num_algorithm_calls() - calls_before;
   ex.cache_hits = num_cache_hits() - hits_before;
   return ex;
@@ -778,13 +691,11 @@ Result<PlayerScore> Engine::ExplainSingleCell(std::size_t target_index,
                                               const ExplainRequest& request,
                                               ExplainResult* result) {
   const CellExplainerOptions& options = request.cells;
-  const CancelToken& cancel = request.cancel;
   const CellRef player_cell = *request.single_cell;
   TREX_RETURN_NOT_OK(RequireRepairedTarget(target_index));
-  const CellRef target = box_->target(target_index);
 
-  TREX_ASSIGN_OR_RETURN(std::vector<CellRef> players,
-                        PlayerCells(options, target));
+  std::vector<CellRef> players =
+      PlayerCells(options, box_->target(target_index));
   // The player of interest must be in the game even if pruning would
   // drop it (its Shapley value is then provably 0, but we measure it).
   if (std::find(players.begin(), players.end(), player_cell) ==
@@ -796,6 +707,10 @@ Result<PlayerScore> Engine::ExplainSingleCell(std::size_t target_index,
     if (players[i] == player_cell) player_index = i;
   }
 
+  const shap::SamplingOptions sampling = SweepOptions(request);
+  const shap::StopRule& stop = sampling.stop;
+  const std::size_t check_interval =
+      std::max<std::size_t>(1, sampling.check_interval);
   Rng rng(options.seed);
   TableStats stats(&box_->dirty());
   auto replacement = [&](CellRef cell) -> Value {
@@ -811,21 +726,15 @@ Result<PlayerScore> Engine::ExplainSingleCell(std::size_t target_index,
   // interest — so neither instance is materialized on the memo hit path.
   // Replacement draws keep the original order, so estimates are
   // bit-identical to the materialized loop.
-  const AnytimeOptions& anytime = EffectiveAnytime(request);
-  const shap::StopRule stop = EffectiveStopRule(request);
-  std::size_t budget = options.num_samples;
-  if (anytime.enabled() && anytime.max_sweeps > 0) budget = anytime.max_sweeps;
-  const std::size_t check_interval =
-      std::max<std::size_t>(1, anytime.check_interval);
   bool early_stopped = false;
   bool approximate = false;
   shap::RunningStat stat;
   std::vector<CellWrite> writes;
-  for (std::size_t sample = 0; sample < budget; ++sample) {
-    if (cancel.cancelled()) {
+  for (std::size_t sample = 0; sample < sampling.num_samples; ++sample) {
+    if (sampling.cancel.cancelled()) {
       return Status::Cancelled("single-cell estimation cancelled");
     }
-    if (request.soften.cancelled()) {
+    if (stop.soften.cancelled()) {
       // Deadline degradation: keep what we have, flag it approximate.
       approximate = stat.count() > 0;
       if (approximate) break;
@@ -862,9 +771,8 @@ Result<PlayerScore> Engine::ExplainSingleCell(std::size_t target_index,
     stat.Add(v_with - v_without);
     if (stop.target_half_width.has_value() &&
         (sample + 1) % check_interval == 0 &&
-        stat.count() >= std::max<std::size_t>(stop.min_samples, 2) &&
-        shap::CiHalfWidth(stat, stop) <= *stop.target_half_width) {
-      early_stopped = sample + 1 < budget;
+        shap::PlayerConverged(stat, stop)) {
+      early_stopped = sample + 1 < sampling.num_samples;
       break;
     }
   }

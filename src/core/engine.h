@@ -122,8 +122,12 @@ const char* ExplainKindToString(ExplainKind kind);
 /// and reports the sweeps consumed plus the achieved width on the
 /// result. Stopping decisions are made on deterministically merged
 /// statistics at shard-index-defined wave boundaries (see
-/// shap::RunShardedSweeps), so estimates and the stopping point stay
-/// bit-identical at every `EngineOptions::num_threads`.
+/// shap::EstimateShapleyAllPlayers, the one sweep sampler behind every
+/// sampled ranking), so estimates and the stopping point stay
+/// bit-identical at every `EngineOptions::num_threads`. A sampled
+/// request whose effective budget is 0 (`max_sweeps` when it is set and
+/// the rule is enabled, else the per-kind `num_samples`) is rejected
+/// before the reference repair.
 struct AnytimeOptions {
   /// Stop once every player's CI half-width is at or below this value.
   /// Unset = anytime stopping disabled (fixed budget).
@@ -329,13 +333,14 @@ class Engine {
   [[nodiscard]] Result<BatchResult> ExplainBatch(const std::vector<ExplainRequest>& requests,
                                    CancelToken cancel = {});
 
-  /// Adaptive top-k cell ranking (see CellExplainer::ExplainTopK). The
-  /// refinement rounds run on the engine's persistent pool — a round's
-  /// sweeps execute concurrently and the separation test is evaluated at
-  /// round boundaries on deterministically merged statistics, so the
-  /// ranking is bit-identical at every thread count. `soften` degrades
-  /// like `ExplainRequest::soften`: finish the current round and return
-  /// the partial ranking.
+  /// Adaptive top-k cell ranking (see CellExplainer::ExplainTopK): the
+  /// sweep sampler with a `StopRule::top_k` rule, one sweep per shard
+  /// and a separation test every 16 sweeps. A round's sweeps execute
+  /// concurrently on the engine's persistent pool and the test runs on
+  /// deterministically merged statistics, so the ranking is
+  /// bit-identical at every thread count. `k` must be positive.
+  /// `soften` degrades like `ExplainRequest::soften`: finish the current
+  /// round and return the partial ranking.
   [[nodiscard]] Result<Explanation> ExplainTopKCells(CellRef target, std::size_t k,
                                        const CellExplainerOptions& options,
                                        CancelToken cancel = {},
@@ -357,12 +362,17 @@ class Engine {
 
   [[nodiscard]] Result<std::size_t> EnsureTarget(CellRef target);
 
-  /// The effective stopping rule for a request: its `anytime` override
-  /// (or the engine default) lowered onto a `shap::StopRule`, with the
-  /// request's soften token attached.
-  shap::StopRule EffectiveStopRule(const ExplainRequest& request) const;
   /// The anytime options in effect for a request.
   const AnytimeOptions& EffectiveAnytime(const ExplainRequest& request) const;
+  /// The sampling options a sampled request runs with: its kind's budget
+  /// and seed, its anytime rule (override or engine default), its soften
+  /// and cancel tokens, and the engine's thread count and pool. The one
+  /// lowering every sampled kind goes through.
+  shap::SamplingOptions SweepOptions(const ExplainRequest& request);
+  /// True when the request would run a sampled path (sweeps or the
+  /// single-cell loop) rather than an exact one. For kCells this builds
+  /// the player set, so callers ask only when the answer matters.
+  bool IsSampled(const ExplainRequest& request) const;
 
   // The sampled per-kind helpers take the whole request (for anytime
   // options and the soften token) and record sweep telemetry — sweeps,
@@ -383,8 +393,8 @@ class Engine {
                                         const ExplainRequest& request,
                                         ExplainResult* result);
 
-  [[nodiscard]] Result<std::vector<CellRef>> PlayerCells(const CellExplainerOptions& options,
-                                           CellRef target) const;
+  std::vector<CellRef> PlayerCells(const CellExplainerOptions& options,
+                                   CellRef target) const;
   [[nodiscard]] Status RequireRepairedTarget(std::size_t target_index) const;
   [[nodiscard]] Status RequireMaskableConstraints() const;
   /// The engine's persistent worker pool (lazily created; null while the

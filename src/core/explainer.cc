@@ -6,16 +6,6 @@
 
 namespace trex {
 
-const char* AbsentCellPolicyToString(AbsentCellPolicy policy) {
-  switch (policy) {
-    case AbsentCellPolicy::kNull:
-      return "null";
-    case AbsentCellPolicy::kSampleFromColumn:
-      return "column-sample";
-  }
-  return "?";
-}
-
 std::vector<PlayerScore> Explanation::TopK(std::size_t k) const {
   const std::size_t count = std::min(k, ranked.size());
   return {ranked.begin(), ranked.begin() + count};

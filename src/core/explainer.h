@@ -35,17 +35,6 @@
 
 namespace trex {
 
-/// How absent cells are materialized in cell coalitions.
-enum class AbsentCellPolicy {
-  /// Set to null (the paper's formal definition, §2.2).
-  kNull,
-  /// Replace with a draw from the cell's column distribution in T^d
-  /// (the paper's sampling estimator, Example 2.5).
-  kSampleFromColumn,
-};
-
-const char* AbsentCellPolicyToString(AbsentCellPolicy policy);
-
 /// One ranked player (a DC or a cell) in an explanation.
 struct PlayerScore {
   /// Display label: the constraint name ("C3") or the paper-style cell

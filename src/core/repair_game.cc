@@ -543,19 +543,42 @@ double ConstraintGame::Value(const shap::Coalition& coalition) const {
   return box_->EvalConstraintSubset(mask, target_index_) ? 1.0 : 0.0;
 }
 
+const char* AbsentCellPolicyToString(AbsentCellPolicy policy) {
+  switch (policy) {
+    case AbsentCellPolicy::kNull:
+      return "null";
+    case AbsentCellPolicy::kSampleFromColumn:
+      return "column-sample";
+  }
+  return "?";
+}
+
 CellGame::CellGame(const BlackBoxRepair* box, std::vector<CellRef> players,
-                   std::size_t target_index)
+                   std::size_t target_index, AbsentCellPolicy policy)
     : box_(box),
       players_(std::move(players)),
-      target_index_(target_index) {
+      target_index_(target_index),
+      policy_(policy) {
   box_->dirty_fingerprints(&base64_, &base128_);
   null_deltas_.reserve(players_.size());
   for (const CellRef& player : players_) {
     null_deltas_.push_back(box_->dirty().WriteDelta(player, Value::Null()));
   }
+  if (policy_ == AbsentCellPolicy::kSampleFromColumn) {
+    columns_.resize(box_->dirty().num_columns());
+    std::vector<bool> built(columns_.size(), false);
+    for (const CellRef& player : players_) {
+      if (built[player.col]) continue;
+      columns_[player.col] = ColumnStats::Build(box_->dirty(), player.col);
+      built[player.col] = true;
+    }
+  }
 }
 
 double CellGame::Value(const shap::Coalition& coalition) const {
+  TREX_CHECK(policy_ == AbsentCellPolicy::kNull)
+      << "the column-sample cell game has no fixed coalition values; "
+         "sample it with permutation sweeps";
   TREX_CHECK_EQ(coalition.size(), players_.size());
   // Absent players become a write set over the dirty table; the
   // perturbation's fingerprints are the base XOR the precomputed
@@ -575,6 +598,71 @@ double CellGame::Value(const shap::Coalition& coalition) const {
   }
   return box_->EvalPerturbation(writes, fp64, fp128, target_index_) ? 1.0
                                                                     : 0.0;
+}
+
+/// The running write set of one sweep: slot i of `writes_`/`deltas_`
+/// holds an absent player's replacement and its fingerprint delta.
+class CellGame::Sweep : public shap::SweepState {
+ public:
+  Sweep(const CellGame& game, Rng* rng) : game_(game) {
+    const std::size_t n = game.players_.size();
+    writes_.reserve(n);
+    deltas_.reserve(n);
+    slot_of_.resize(n);
+    player_at_.resize(n);
+    fp64_ = game.base64_;
+    fp128_ = game.base128_;
+    for (std::size_t i = 0; i < n; ++i) {
+      const CellRef cell = game.players_[i];
+      trex::Value value = Value::Null();
+      FingerprintDelta delta = game.null_deltas_[i];
+      if (game.policy_ == AbsentCellPolicy::kSampleFromColumn) {
+        const ColumnStats& column = game.columns_[cell.col];
+        if (column.total() > 0) value = column.Sample(rng);
+        delta = game.box_->dirty().WriteDelta(cell, value);
+      }
+      fp64_ ^= delta.fp64;
+      fp128_ ^= delta.fp128;
+      writes_.push_back({cell, std::move(value)});
+      deltas_.push_back(delta);
+      slot_of_[i] = i;
+      player_at_[i] = i;
+    }
+  }
+
+  double Value() override {
+    return game_.box_->EvalPerturbation(writes_, fp64_, fp128_,
+                                        game_.target_index_)
+               ? 1.0
+               : 0.0;
+  }
+
+  void Join(std::size_t player) override {
+    const std::size_t slot = slot_of_[player];
+    const std::size_t last = writes_.size() - 1;
+    const std::size_t moved = player_at_[last];
+    fp64_ ^= deltas_[slot].fp64;  // deltas are self-inverse
+    fp128_ ^= deltas_[slot].fp128;
+    std::swap(writes_[slot], writes_[last]);
+    std::swap(deltas_[slot], deltas_[last]);
+    writes_.pop_back();
+    deltas_.pop_back();
+    slot_of_[moved] = slot;
+    player_at_[slot] = moved;
+  }
+
+ private:
+  const CellGame& game_;
+  std::vector<CellWrite> writes_;
+  std::vector<FingerprintDelta> deltas_;  // parallel to `writes_`
+  std::vector<std::size_t> slot_of_;      // player -> slot
+  std::vector<std::size_t> player_at_;    // slot -> player
+  std::uint64_t fp64_ = 0;
+  Hash128 fp128_;
+};
+
+std::unique_ptr<shap::SweepState> CellGame::BeginSweep(Rng* rng) const {
+  return std::make_unique<Sweep>(*this, rng);
 }
 
 }  // namespace trex

@@ -54,8 +54,8 @@
 // across evaluations (reset from the dirty table by undoing the
 // previous writes, then applying the new ones) instead of a fresh copy
 // per coalition. `CellGame::Value` and
-// the engine's permutation-sweep loops sit on this path; warm-cache
-// evaluations make zero full-table copies
+// the cell game's sweep state (`CellGame::BeginSweep`) sit on this
+// path; warm-cache evaluations make zero full-table copies
 // (`num_eval_table_copies()` counts the scratch (re)initializations).
 //
 // `approx_memo_bytes()` estimates the resident payload of both memos
@@ -80,7 +80,7 @@
 // TSan-covered.
 //
 // `ConstraintGame` (players = DCs, table fixed) and `CellGame` (players =
-// cells nulled in/out, DCs fixed) adapt one target's characteristic
+// cells replaced in/out, DCs fixed) adapt one target's characteristic
 // function to `shap::Game`.
 
 #ifndef TREX_CORE_REPAIR_GAME_H_
@@ -103,9 +103,21 @@
 #include "core/game.h"
 #include "dc/constraint.h"
 #include "repair/algorithm.h"
+#include "table/stats.h"
 #include "table/table.h"
 
 namespace trex {
+
+/// How absent cells are materialized in cell coalitions.
+enum class AbsentCellPolicy {
+  /// Set to null (the paper's formal definition, §2.2).
+  kNull,
+  /// Replace with a draw from the cell's column distribution in T^d
+  /// (the paper's sampling estimator, Example 2.5).
+  kSampleFromColumn,
+};
+
+const char* AbsentCellPolicyToString(AbsentCellPolicy policy);
 
 /// Memoized multi-target evaluator of the binary repair outcome (see
 /// file comment).
@@ -179,8 +191,8 @@ class BlackBoxRepair {
 
   /// Like above, with the perturbed table's fingerprints already in
   /// hand — for hot loops that maintain a running fingerprint by XORing
-  /// precomputed `Table::WriteDelta`s (the cell game, the engine's
-  /// permutation sweeps) instead of re-hashing O(#writes) per
+  /// precomputed `Table::WriteDelta`s (the cell game and its sweep
+  /// state) instead of re-hashing O(#writes) per
   /// evaluation. `fp64`/`fp128` MUST equal
   /// `dirty().DeltaFingerprint(dirty fps, writes)`: they are the memo
   /// key and the first verification stage — an inconsistent pair could
@@ -427,37 +439,60 @@ class ConstraintGame : public shap::Game {
 };
 
 /// Cooperative game whose players are table cells (paper §2.2, second
-/// adaptation): cells absent from a coalition are nulled out, the
-/// constraint set stays fixed. Coalitions evaluate through
-/// `EvalPerturbation` — the absent cells become a write set, no table
-/// is materialized on the memo hit path.
+/// adaptation): cells absent from a coalition are replaced under an
+/// `AbsentCellPolicy`, the constraint set stays fixed. Coalitions
+/// evaluate through `EvalPerturbation` — the absent cells become a write
+/// set, no table is materialized on the memo hit path.
 ///
 /// `players` may be a subset of all cells (relevant-cell pruning); cells
 /// outside the player list keep their original values — sound when the
 /// excluded cells are dummy players under the algorithm's influence
 /// graph.
+///
+/// Under `kNull` the game is deterministic and `Value(coalition)` is its
+/// characteristic function. Under `kSampleFromColumn` it is stochastic:
+/// each permutation sweep draws its own replacements, so only
+/// `BeginSweep` is defined and `Value(coalition)` is a fatal error.
 class CellGame : public shap::Game {
  public:
   /// Precomputes each player's null-write fingerprint delta, so a
-  /// coalition evaluation is one XOR per absent player — no hashing.
+  /// coalition evaluation is one XOR per absent player — no hashing —
+  /// and, under `kSampleFromColumn`, the column distribution of every
+  /// player's column.
   CellGame(const BlackBoxRepair* box, std::vector<CellRef> players,
-           std::size_t target_index = 0);
+           std::size_t target_index = 0,
+           AbsentCellPolicy policy = AbsentCellPolicy::kNull);
 
   std::size_t num_players() const override { return players_.size(); }
   double Value(const shap::Coalition& coalition) const override;
 
+  /// A sweep over a write set of the dirty table that starts with every
+  /// player absent. Under `kSampleFromColumn` the replacements are drawn
+  /// from `rng` in player order. `Join` removes the player's write
+  /// (swap-with-last; delta fingerprints are order-insensitive) and XORs
+  /// its delta out of the running fingerprint, so each `Value()` costs
+  /// O(1) hashing.
+  std::unique_ptr<shap::SweepState> BeginSweep(Rng* rng) const override;
+
   const std::vector<CellRef>& players() const { return players_; }
 
  private:
+  class Sweep;
+
   const BlackBoxRepair* box_;
   std::vector<CellRef> players_;
   std::size_t target_index_;
+  AbsentCellPolicy policy_;
   /// The dirty table's fingerprints (the running fingerprint base).
   std::uint64_t base64_ = 0;
   Hash128 base128_;
   /// Per-player `WriteDelta(player, null)` — the XOR a player's absence
   /// applies to the base.
   std::vector<FingerprintDelta> null_deltas_;
+  /// Column distributions of the dirty table by column index, built for
+  /// the players' columns under `kSampleFromColumn` (empty otherwise).
+  /// Read-only after construction, so concurrent sweeps share them.
+  std::vector<ColumnStats> columns_;
 };
 
 }  // namespace trex

@@ -32,12 +32,6 @@ void RunningStat::Merge(const RunningStat& other) {
   count_ += other.count_;
 }
 
-std::uint64_t ShardSeed(std::uint64_t seed, std::size_t shard) {
-  std::uint64_t state =
-      seed + 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(shard) + 1);
-  return SplitMix64(&state);
-}
-
 double RunningStat::variance() const {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_ - 1);
@@ -68,7 +62,20 @@ double CiHalfWidth(const RunningStat& stat, const StopRule& rule) {
          3.0 * rule.range * log_term / n;
 }
 
+bool PlayerConverged(const RunningStat& stat, const StopRule& stop) {
+  return stat.count() >= std::max<std::size_t>(stop.min_samples, 2) &&
+         CiHalfWidth(stat, stop) <= *stop.target_half_width;
+}
+
 namespace {
+
+/// The per-shard RNG seed of sharded sampling: a splitmix64 mix of the
+/// base seed and the shard index.
+std::uint64_t ShardSeed(std::uint64_t seed, std::size_t shard) {
+  std::uint64_t state =
+      seed + 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(shard) + 1);
+  return SplitMix64(&state);
+}
 
 /// One marginal-contribution sample of `player` for a given permutation:
 /// v(before ∪ {player}) − v(before), where `before` is the set of players
@@ -88,23 +95,162 @@ double MarginalForPlayer(const Game& game,
   return with - without;
 }
 
-/// A player's CI meets the rule's target width (never true below the
-/// rule's minimum sample count).
-bool PlayerConverged(const RunningStat& stat, const StopRule& stop) {
-  return stat.count() >= std::max<std::size_t>(stop.min_samples, 2) &&
-         CiHalfWidth(stat, stop) <= *stop.target_half_width;
+/// Folds one sweep into `stats`: draws the permutation, starts the
+/// game's sweep state, and walks the permutation through it, adding one
+/// marginal sample per unfrozen player. Frozen players keep their
+/// position in the permutation (so other players' coalitions are
+/// undisturbed) but skip both of their evaluations: the prefix value is
+/// re-evaluated lazily only when the next unfrozen player needs it.
+void Sweep(const Game& game, bool antithetic, const std::vector<bool>& frozen,
+           Rng* rng, std::vector<RunningStat>* stats) {
+  auto walk = [&](const std::vector<std::size_t>& perm) {
+    const std::unique_ptr<SweepState> state = game.BeginSweep(rng);
+    double prev = 0.0;
+    bool have_prev = false;
+    // One permutation sweep is the cancellation unit:
+    // trex-check-ok(cancel-poll): RunShardedSweeps polls at shard bounds
+    for (const std::size_t p : perm) {
+      if (frozen[p]) {
+        state->Join(p);
+        have_prev = false;
+        continue;
+      }
+      if (!have_prev) prev = state->Value();
+      state->Join(p);
+      const double curr = state->Value();
+      (*stats)[p].Add(curr - prev);
+      prev = curr;
+      have_prev = true;
+    }
+  };
+  std::vector<std::size_t> perm = rng->Permutation(game.num_players());
+  walk(perm);
+  if (antithetic) {
+    std::reverse(perm.begin(), perm.end());
+    walk(perm);
+  }
 }
 
-/// Players sorted by estimated value, descending (stable, so ties keep
-/// index order — deterministic).
-std::vector<std::size_t> RankByMean(const std::vector<RunningStat>& stats) {
-  std::vector<std::size_t> order(stats.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&stats](std::size_t a, std::size_t b) {
-                     return stats[a].mean() > stats[b].mean();
-                   });
-  return order;
+/// The wave-synchronous sweep driver behind `EstimateShapleyAllPlayers`
+/// (see its comment). Callers observing `options.cancel.cancelled()`
+/// after the call must treat the merged statistics as garbage.
+SweepOutcome RunShardedSweeps(const Game& game,
+                              const SamplingOptions& options) {
+  // The sweep budget is partitioned into fixed shards; each shard owns a
+  // deterministically derived RNG stream and completed shards are folded
+  // into the merge in shard-index order, so the merged statistics depend
+  // only on the options, never on thread count or scheduling.
+  //
+  // Shards are processed in waves. Under an active stopping rule a
+  // wave's width is derived from `check_interval` — never from the pool
+  // width — because every anytime decision (stop, freeze, top-k
+  // separation, soften) happens at a wave boundary on the merged
+  // statistics and must land on the same shard index for every thread
+  // count. Without a rule the wave only bounds memory (the merge order
+  // is the global shard order regardless), so it scales with the pool.
+  const std::size_t num_players = game.num_players();
+  const std::size_t shard_size = options.shard_size;
+  const std::size_t num_shards =
+      (options.num_samples + shard_size - 1) / shard_size;
+  ThreadPool* pool = options.pool;
+  std::optional<ThreadPool> local_pool;
+  if (pool == nullptr) {
+    local_pool.emplace(std::max<std::size_t>(options.num_threads, 1));
+    pool = &*local_pool;
+  }
+  const StopRule& stop = options.stop;
+  std::size_t wave_shards = pool->num_threads() * 4;
+  if (stop.active()) {
+    const std::size_t interval =
+        std::max<std::size_t>(options.check_interval, 1);
+    wave_shards = (interval + shard_size - 1) / shard_size;
+  }
+
+  SweepOutcome out;
+  out.stats.assign(num_players, RunningStat{});
+  std::vector<bool> frozen(num_players, false);
+  const bool can_freeze =
+      stop.freeze_converged && stop.target_half_width.has_value();
+
+  for (std::size_t start = 0; start < num_shards; start += wave_shards) {
+    const std::size_t count = std::min(wave_shards, num_shards - start);
+    std::vector<std::vector<RunningStat>> wave_stats(
+        count, std::vector<RunningStat>(num_players));
+    pool->Run(count, [&](std::size_t i) {
+      const std::size_t shard = start + i;
+      const std::size_t begin = shard * shard_size;
+      const std::size_t end =
+          std::min(begin + shard_size, options.num_samples);
+      Rng rng(ShardSeed(options.seed, shard));
+      for (std::size_t s = begin; s < end; ++s) {
+        // Poll between sweeps: one sweep costs n+1 repair runs, so this
+        // bounds cancellation latency at one sweep per worker. Results
+        // after cancellation are discarded by the caller.
+        if (options.cancel.cancelled()) break;
+        Sweep(game, options.antithetic, frozen, &rng, &wave_stats[i]);
+      }
+    });
+    if (options.cancel.cancelled()) break;
+    for (std::size_t i = 0; i < count; ++i) {
+      for (std::size_t p = 0; p < num_players; ++p) {
+        out.stats[p].Merge(wave_stats[i][p]);
+      }
+    }
+    out.sweeps = std::min((start + count) * shard_size, options.num_samples);
+    ++out.waves;
+
+    // Wave boundary: every anytime decision below runs on the merged
+    // statistics, whose content is fixed by the shard index range —
+    // identical for every thread count.
+    bool stop_now = false;
+    if (stop.target_half_width.has_value()) {
+      bool all_converged = true;
+      for (std::size_t p = 0; p < num_players; ++p) {
+        const bool conv = PlayerConverged(out.stats[p], stop);
+        if (can_freeze && conv) frozen[p] = true;
+        all_converged = all_converged && conv;
+      }
+      stop_now = all_converged;
+    }
+    if (!stop_now && stop.top_k > 0) {
+      if (stop.top_k >= num_players) {
+        out.separated = true;  // nothing to separate from
+        stop_now = true;
+      } else {
+        // Players ranked by estimate, descending; the stable sort keeps
+        // ties in index order, so the test is deterministic.
+        std::vector<std::size_t> order(num_players);
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::stable_sort(order.begin(), order.end(),
+                         [&out](std::size_t a, std::size_t b) {
+                           return out.stats[a].mean() > out.stats[b].mean();
+                         });
+        const RunningStat& kth = out.stats[order[stop.top_k - 1]];
+        const RunningStat& next = out.stats[order[stop.top_k]];
+        const double lower = kth.mean() - CiHalfWidth(kth, stop);
+        const double upper = next.mean() + CiHalfWidth(next, stop);
+        if (kth.count() >= stop.min_samples && lower > upper) {
+          out.separated = true;
+          stop_now = true;
+        }
+      }
+    }
+    if (!stop_now && stop.soften.cancelled()) {
+      out.softened = true;
+      stop_now = true;
+    }
+    if (stop_now) {
+      out.stopped_early = start + count < num_shards;
+      break;
+    }
+  }
+
+  for (std::size_t p = 0; p < num_players; ++p) {
+    if (frozen[p]) ++out.frozen_players;
+    out.achieved_half_width =
+        std::max(out.achieved_half_width, CiHalfWidth(out.stats[p], stop));
+  }
+  return out;
 }
 
 }  // namespace
@@ -277,253 +423,25 @@ Result<Estimate> EstimateShapleyStratified(const Game& game,
   return e;
 }
 
-SweepOutcome RunShardedSweeps(
-    const ShardedSweepConfig& config, std::size_t num_players,
-    const std::function<void(Rng* rng, std::vector<RunningStat>* stats,
-                             const std::vector<bool>& frozen)>& sweep) {
-  TREX_CHECK_GT(config.shard_size, 0u);
-  // The sweep budget is partitioned into fixed shards; each shard owns a
-  // deterministically derived RNG stream and completed shards are folded
-  // into the merge in shard-index order, so the merged statistics depend
-  // only on (config, sweep), never on thread count or scheduling.
-  //
-  // Shards are processed in waves. A wave's width is configuration —
-  // explicit `wave_shards`, or derived from `check_interval` under an
-  // active stopping rule — never the pool width while a rule is active,
-  // because every anytime decision (stop, freeze, top-k separation,
-  // soften) happens at a wave boundary on the merged statistics and must
-  // land on the same shard index for every thread count. Without a rule
-  // the wave only bounds memory (the merge order is the global shard
-  // order regardless), so it scales with the pool.
-  const std::size_t num_shards =
-      (config.num_samples + config.shard_size - 1) / config.shard_size;
-  ThreadPool* pool = config.pool;
-  std::optional<ThreadPool> local_pool;
-  if (pool == nullptr) {
-    local_pool.emplace(std::max<std::size_t>(config.num_threads, 1));
-    pool = &*local_pool;
-  }
-  const StopRule& stop = config.stop;
-  std::size_t wave_shards = config.wave_shards;
-  if (wave_shards == 0) {
-    if (stop.active()) {
-      const std::size_t interval = std::max<std::size_t>(
-          config.check_interval, 1);
-      wave_shards = (interval + config.shard_size - 1) / config.shard_size;
-    } else {
-      wave_shards = pool->num_threads() * 4;
-    }
-  }
-
-  SweepOutcome out;
-  out.stats.assign(num_players, RunningStat{});
-  std::vector<bool> frozen(num_players, false);
-  const bool can_freeze =
-      stop.freeze_converged && stop.target_half_width.has_value();
-
-  for (std::size_t start = 0; start < num_shards; start += wave_shards) {
-    const std::size_t count = std::min(wave_shards, num_shards - start);
-    std::vector<std::vector<RunningStat>> wave_stats(
-        count, std::vector<RunningStat>(num_players));
-    pool->Run(count, [&](std::size_t i) {
-      const std::size_t shard = start + i;
-      const std::size_t begin = shard * config.shard_size;
-      const std::size_t end =
-          std::min(begin + config.shard_size, config.num_samples);
-      Rng rng(ShardSeed(config.seed, shard));
-      for (std::size_t s = begin; s < end; ++s) {
-        // Poll between sweeps: one sweep costs n+1 repair runs, so this
-        // bounds cancellation latency at one sweep per worker. Results
-        // after cancellation are discarded by the caller.
-        if (config.cancel.cancelled()) break;
-        sweep(&rng, &wave_stats[i], frozen);
-      }
-    });
-    if (config.cancel.cancelled()) break;
-    for (std::size_t i = 0; i < count; ++i) {
-      for (std::size_t p = 0; p < num_players; ++p) {
-        out.stats[p].Merge(wave_stats[i][p]);
-      }
-    }
-    const std::size_t wave_end =
-        std::min((start + count) * config.shard_size, config.num_samples);
-    out.sweeps = wave_end;
-    ++out.waves;
-
-    // Wave boundary: every anytime decision below runs on the merged
-    // statistics, whose content is fixed by the shard index range —
-    // identical for every thread count.
-    bool stop_now = false;
-    if (stop.target_half_width.has_value() && num_players > 0) {
-      bool all_converged = true;
-      for (std::size_t p = 0; p < num_players; ++p) {
-        const bool conv = PlayerConverged(out.stats[p], stop);
-        if (can_freeze && conv) frozen[p] = true;
-        all_converged = all_converged && conv;
-      }
-      stop_now = all_converged;
-    }
-    if (!stop_now && stop.top_k > 0 && num_players > 0) {
-      if (stop.top_k >= num_players) {
-        out.separated = true;  // nothing to separate from
-        stop_now = true;
-      } else {
-        const std::vector<std::size_t> order = RankByMean(out.stats);
-        const RunningStat& kth = out.stats[order[stop.top_k - 1]];
-        const RunningStat& next = out.stats[order[stop.top_k]];
-        const double lower = kth.mean() - CiHalfWidth(kth, stop);
-        const double upper = next.mean() + CiHalfWidth(next, stop);
-        if (kth.count() >= stop.min_samples && lower > upper) {
-          out.separated = true;
-          stop_now = true;
-        }
-      }
-    }
-    if (!stop_now && stop.soften.cancelled()) {
-      out.softened = true;
-      stop_now = true;
-    }
-    if (stop_now) {
-      out.stopped_early = start + count < num_shards;
-      break;
-    }
-  }
-
-  for (std::size_t p = 0; p < num_players; ++p) {
-    if (frozen[p]) ++out.frozen_players;
-    out.achieved_half_width =
-        std::max(out.achieved_half_width, CiHalfWidth(out.stats[p], stop));
-  }
-  return out;
-}
 
 Result<std::vector<Estimate>> EstimateShapleyAllPlayers(
     const Game& game, const SamplingOptions& options, SweepOutcome* outcome) {
-  const std::size_t n = game.num_players();
-  if (n == 0) return std::vector<Estimate>{};
+  if (game.num_players() == 0) return std::vector<Estimate>{};
   if (options.num_samples == 0) {
     return Status::InvalidArgument("num_samples must be positive");
   }
   if (options.shard_size == 0) {
     return Status::InvalidArgument("shard_size must be positive");
   }
-
-  ShardedSweepConfig config;
-  config.num_samples = options.num_samples;
-  config.shard_size = options.shard_size;
-  config.num_threads = options.num_threads;
-  config.seed = options.seed;
-  config.stop = options.stop;
-  config.check_interval = options.check_interval;
-  config.pool = options.pool;
-  config.cancel = options.cancel;
-
-  auto one_sweep = [&](Rng* rng, std::vector<RunningStat>* stats,
-                       const std::vector<bool>& frozen) {
-    auto run_perm = [&](const std::vector<std::size_t>& perm) {
-      // Frozen players keep their position in the permutation (so other
-      // players' coalitions are undisturbed) but skip both of their
-      // evaluations: the prefix value is re-evaluated lazily only when
-      // the next unfrozen player needs it.
-      Coalition coalition(n, false);
-      double prev = 0.0;
-      bool have_prev = false;
-      // One permutation sweep is the cancellation unit:
-      // trex-check-ok(cancel-poll): RunShardedSweeps polls at shard bounds
-      for (std::size_t pos = 0; pos < n; ++pos) {
-        const std::size_t p = perm[pos];
-        if (frozen[p]) {
-          coalition[p] = true;
-          have_prev = false;
-          continue;
-        }
-        if (!have_prev) prev = game.Value(coalition);
-        coalition[p] = true;
-        const double curr = game.Value(coalition);
-        (*stats)[p].Add(curr - prev);
-        prev = curr;
-        have_prev = true;
-      }
-    };
-    std::vector<std::size_t> perm = rng->Permutation(n);
-    run_perm(perm);
-    if (options.antithetic) {
-      std::reverse(perm.begin(), perm.end());
-      run_perm(perm);
-    }
-  };
-
-  SweepOutcome out = RunShardedSweeps(config, n, one_sweep);
+  SweepOutcome out = RunShardedSweeps(game, options);
   if (options.cancel.cancelled()) {
     return Status::Cancelled("Shapley sweep sampling cancelled");
   }
   std::vector<Estimate> estimates;
-  estimates.reserve(n);
+  estimates.reserve(out.stats.size());
   for (const RunningStat& s : out.stats) estimates.push_back(s.ToEstimate());
   if (outcome != nullptr) *outcome = std::move(out);
   return estimates;
-}
-
-Result<TopKResult> EstimateTopKPlayers(const Game& game,
-                                       const TopKOptions& options) {
-  const std::size_t n = game.num_players();
-  if (n == 0) return TopKResult{};
-  if (options.k == 0) {
-    return Status::InvalidArgument("k must be positive");
-  }
-  if (options.batch == 0 || options.max_samples == 0) {
-    return Status::InvalidArgument("batch and max_samples must be positive");
-  }
-
-  // One sweep per shard, one round per wave: the separation test runs at
-  // round boundaries on deterministically merged statistics, so the
-  // stopping round — and every estimate — is bit-identical at any
-  // thread count while a round's sweeps execute concurrently.
-  ShardedSweepConfig config;
-  config.num_samples = options.max_samples;
-  config.shard_size = 1;
-  config.wave_shards = options.batch;
-  config.num_threads = options.num_threads;
-  config.seed = options.seed;
-  config.pool = options.pool;
-  config.cancel = options.cancel;
-  config.stop.top_k = options.k;
-  config.stop.z = options.z;
-  config.stop.bound = options.bound;
-  config.stop.min_samples = 8;
-  config.stop.soften = options.soften;
-
-  auto one_sweep = [&](Rng* rng, std::vector<RunningStat>* stats,
-                       const std::vector<bool>& frozen) {
-    (void)frozen;  // no per-player target → nothing ever freezes
-    const std::vector<std::size_t> perm = rng->Permutation(n);
-    Coalition coalition(n, false);
-    double prev = game.Value(coalition);
-    // One permutation sweep is the cancellation unit:
-    // trex-check-ok(cancel-poll): RunShardedSweeps polls at shard bounds
-    for (std::size_t pos = 0; pos < n; ++pos) {
-      coalition[perm[pos]] = true;
-      const double curr = game.Value(coalition);
-      (*stats)[perm[pos]].Add(curr - prev);
-      prev = curr;
-    }
-  };
-
-  const SweepOutcome out = RunShardedSweeps(config, n, one_sweep);
-  if (options.cancel.cancelled()) {
-    return Status::Cancelled("top-k Shapley sampling cancelled");
-  }
-
-  TopKResult result;
-  result.estimates.reserve(n);
-  for (const RunningStat& stat : out.stats) {
-    result.estimates.push_back(stat.ToEstimate());
-  }
-  result.ranking = RankByMean(out.stats);
-  result.separated = out.separated;
-  result.sweeps = out.sweeps;
-  result.softened = out.softened;
-  return result;
 }
 
 }  // namespace trex::shap

@@ -3,21 +3,27 @@
 //
 // The estimator draws random player permutations; the marginal
 // contribution of a player against the coalition of players preceding it
-// is an unbiased sample of its Shapley value. Two drivers:
+// is an unbiased sample of its Shapley value. Two estimators:
 //
 //  * `EstimateShapleyForPlayer` — the paper's Example 2.5 loop for a
 //    single player of interest: per sample, one permutation and two
 //    characteristic-function evaluations (with and without the player).
 //  * `EstimateShapleyAllPlayers` — one sweep per permutation yields a
 //    marginal sample for *every* player with n+1 evaluations, the right
-//    tool when ranking all cells.
+//    tool when ranking all cells. This is the one permutation-sweep
+//    sampler: the engine's cell and constraint rankings and its adaptive
+//    top-k driver all run on it. Each sweep walks the game's incremental
+//    `Game::BeginSweep` state, so the cell game keeps its running write
+//    set and column-sampled replacements without a sweep loop of its own.
 //
 // Anytime estimation: every estimator can stop as soon as the answer is
 // good enough instead of spending a fixed permutation budget. A
 // `StopRule` requests either a target confidence-interval half-width per
 // player (normal-theory or empirical-Bernstein bounds) or top-k
-// CI-separation, and the sharded sweep driver evaluates it only at
-// *wave boundaries* — waves are groups of shards defined purely by shard
+// CI-separation (`StopRule::top_k`: stop once the k best players' CIs
+// clear the rest — the GUI flow, where the user reads only the first
+// rows). The sweep estimator evaluates the rule only at *wave
+// boundaries* — waves are groups of shards defined purely by shard
 // index, so the stopping point, the freeze set, and the merged estimates
 // are bit-identical at every thread count. Early stopping and sweep
 // parallelism coexist: a wave's shards run concurrently on the
@@ -33,7 +39,6 @@
 #define TREX_CORE_SHAPLEY_SAMPLING_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -44,8 +49,6 @@
 #include "common/cancel.h"
 
 namespace trex::shap {
-
-class RunningStat;
 
 /// Which concentration bound turns running moments into a confidence
 /// half-width.
@@ -62,7 +65,8 @@ enum class BoundKind {
 };
 
 /// Anytime stopping rule, evaluated only at wave boundaries of the
-/// sharded sweep driver (see `RunShardedSweeps`). Inactive by default.
+/// sweep estimator (see `EstimateShapleyAllPlayers`). Inactive by
+/// default.
 struct StopRule {
   /// Stop once every player's confidence half-width is at or below this
   /// value (and each has at least `min_samples` samples).
@@ -84,14 +88,14 @@ struct StopRule {
   std::size_t min_samples = 16;
   /// When a `target_half_width` is set, players whose half-width already
   /// meets it are *frozen*: subsequent sweeps skip their with/without
-  /// evaluations (the sweep callback receives the freeze set). Frozen
+  /// evaluations (they still join the coalition in order). Frozen
   /// players' accumulated estimates are left untouched, and the freeze
   /// set only changes at wave boundaries, so it is deterministic.
   bool freeze_converged = true;
   /// Soft stop: once this token fires, the driver finishes the current
   /// wave, merges it, and returns the partial confidence-bounded
   /// estimates with `SweepOutcome::softened` set. Unlike
-  /// `ShardedSweepConfig::cancel`, the merged statistics remain valid.
+  /// `SamplingOptions::cancel`, the merged statistics remain valid.
   /// Checked at wave boundaries only (latency ≤ one wave).
   CancelToken soften;
 
@@ -127,10 +131,10 @@ struct SamplingOptions {
   /// own thread count), while an explicit 1 forces a serial run even
   /// under a multi-threaded engine. Sweeps are partitioned into fixed
   /// shards of `shard_size` permutations, each drawing from a seed
-  /// derived deterministically from (seed, shard index) via `ShardSeed`,
-  /// and shard results are merged in index order — so the estimates are
-  /// bit-identical for every thread count (the game's characteristic
-  /// function must be thread-safe; `BlackBoxRepair` is). This holds with
+  /// derived deterministically from (seed, shard index), and shard
+  /// results are merged in index order — so the estimates are
+  /// bit-identical for every thread count (the game's `Value` and
+  /// `BeginSweep` must be thread-safe; `BlackBoxRepair` is). This holds with
   /// early stopping too: the stopping point is a wave boundary, defined
   /// by shard index, never by thread scheduling.
   std::size_t num_threads = 0;
@@ -162,8 +166,8 @@ struct Estimate {
   double ci_high(double z = 1.96) const { return value + z * std_error; }
 };
 
-/// Welford running-moment accumulator (exposed for reuse by the cell
-/// estimator in the engine and by tests).
+/// Welford running-moment accumulator (exposed for reuse by the engine's
+/// single-cell estimator and by tests).
 class RunningStat {
  public:
   void Add(double x);
@@ -189,47 +193,17 @@ class RunningStat {
 /// Returns +infinity below two samples (no variance information yet).
 double CiHalfWidth(const RunningStat& stat, const StopRule& rule);
 
-/// The per-shard RNG seed for sharded sweep sampling: a splitmix64 mix
-/// of the base seed and the shard index. Exposed so other sharded
-/// samplers (the engine's cell sweeps) stay bit-compatible across
-/// serial and parallel execution.
-std::uint64_t ShardSeed(std::uint64_t seed, std::size_t shard);
-
-/// Configuration for `RunShardedSweeps`.
-struct ShardedSweepConfig {
-  std::size_t num_samples = 0;
-  std::size_t shard_size = 32;
-  std::size_t num_threads = 1;
-  std::uint64_t seed = Rng::kDefaultSeed;
-  /// Anytime stopping rule, evaluated at wave boundaries (see below).
-  StopRule stop;
-  /// Shards per wave; 0 = derive from `check_interval` when a stopping
-  /// rule is active (`max(1, ceil(check_interval / shard_size))`), else
-  /// size waves for memory only (a multiple of the pool width). The
-  /// wave width is part of the configuration — never derived from
-  /// thread count while a stopping rule is active — because the
-  /// stopping point is a wave boundary and must be reproducible.
-  std::size_t wave_shards = 0;
-  /// Stopping-check granularity in samples, rounded up to whole shards;
-  /// used only when `wave_shards == 0`. 0 = one shard per wave.
-  std::size_t check_interval = 0;
-  /// Optional persistent worker pool to reuse across calls (non-owning;
-  /// must outlive the call). When null, a transient pool of
-  /// `num_threads` is created per call.
-  ThreadPool* pool = nullptr;
-  /// Polled before every sweep inside each shard and at wave boundaries;
-  /// once cancelled, remaining sweeps are skipped and the driver returns
-  /// early. Callers observing `cancel.cancelled()` after the call must
-  /// treat the merged statistics as garbage. Contrast `stop.soften`,
-  /// which finishes the current wave and keeps the merged statistics.
-  CancelToken cancel;
-};
+/// The convergence test behind `StopRule::target_half_width`: `stat`
+/// has at least `max(stop.min_samples, 2)` samples and its half-width
+/// is at or below the target, which must be set. The sweep estimator
+/// freezes and stops on it; the single-player loops stop on it.
+bool PlayerConverged(const RunningStat& stat, const StopRule& stop);
 
 /// What a sharded sweep run produced, beyond the statistics themselves.
 struct SweepOutcome {
   /// Per-player merged statistics (shard-index merge order).
   std::vector<RunningStat> stats;
-  /// Permutation sweeps consumed (≤ config.num_samples).
+  /// Permutation sweeps consumed (≤ options.num_samples).
   std::size_t sweeps = 0;
   /// Wave boundaries crossed.
   std::size_t waves = 0;
@@ -248,27 +222,6 @@ struct SweepOutcome {
   std::size_t frozen_players = 0;
 };
 
-/// The shared wave-synchronous sweep driver behind
-/// `EstimateShapleyAllPlayers`, `EstimateTopKPlayers`, and the engine's
-/// cell sampler: partitions `num_samples` sweeps into fixed shards, runs
-/// each shard with an RNG seeded by `ShardSeed(seed, shard)`, and merges
-/// per-shard statistics in shard-index order — so the merged result
-/// depends only on (config, sweep), never on thread count. Shards
-/// execute in waves (`wave_shards` at a time, concurrently on the pool);
-/// after each wave is merged the driver consults `config.stop`, updates
-/// the freeze set, and honours `stop.soften` — all decisions are made on
-/// deterministically merged statistics at shard-index-defined
-/// boundaries, so early stopping keeps the bit-identical-at-any-
-/// thread-count guarantee. `sweep` executes ONE sweep: it draws from the
-/// shard's RNG and folds one marginal sample per *unfrozen* player into
-/// the shard's statistics vector (the freeze set is all-false unless
-/// `stop.freeze_converged` and a target width are set). `sweep` must be
-/// thread-safe when more than one shard runs per wave.
-SweepOutcome RunShardedSweeps(
-    const ShardedSweepConfig& config, std::size_t num_players,
-    const std::function<void(Rng* rng, std::vector<RunningStat>* stats,
-                             const std::vector<bool>& frozen)>& sweep);
-
 /// Estimates the Shapley value of `player` (see file comment).
 [[nodiscard]] Result<Estimate> EstimateShapleyForPlayer(const Game& game,
                                           std::size_t player,
@@ -276,7 +229,18 @@ SweepOutcome RunShardedSweeps(
 
 /// Estimates all players' Shapley values with permutation sweeps.
 /// `outcome` (optional) receives the full sweep outcome — sweeps
-/// consumed, achieved confidence width, freeze count, soften flag.
+/// consumed, achieved confidence width, freeze count, soften and top-k
+/// separation flags.
+///
+/// The sweep budget is partitioned into fixed shards of
+/// `options.shard_size` sweeps; each shard draws from an RNG seeded by a
+/// splitmix64 mix of (seed, shard index), and per-shard statistics are
+/// merged in shard-index order, so the result depends only on the
+/// options, never on thread count. Shards execute in waves, concurrently
+/// on the pool; after each wave is merged the estimator consults
+/// `options.stop`, updates the freeze set, and honours `stop.soften`.
+/// Each sweep draws its permutation, then calls `game.BeginSweep` on the
+/// shard's RNG and walks the permutation through the returned state.
 [[nodiscard]] Result<std::vector<Estimate>> EstimateShapleyAllPlayers(
     const Game& game, const SamplingOptions& options = {},
     SweepOutcome* outcome = nullptr);
@@ -291,67 +255,12 @@ SweepOutcome RunShardedSweeps(
 /// minimises the variance of the stratified mean for a fixed budget;
 /// deterministic largest-remainder rounding). Strata are sampled in
 /// parallel over `options.num_threads` / `options.pool`, each stratum on
-/// its own `ShardSeed`-derived RNG stream, so results are bit-identical
+/// its own RNG stream seeded like a sweep shard, so results are bit-identical
 /// at every thread count. Useful when marginals differ sharply by
 /// coalition size (binary repair games often do).
 [[nodiscard]] Result<Estimate> EstimateShapleyStratified(const Game& game,
                                            std::size_t player,
                                            const SamplingOptions& options = {});
-
-/// Options for the adaptive top-k driver.
-struct TopKOptions {
-  std::size_t k = 3;
-  /// Confidence width multiplier for the separation test.
-  double z = 2.0;
-  /// Sweeps per refinement round (= the wave width: a round's sweeps
-  /// run concurrently on the pool).
-  std::size_t batch = 16;
-  /// Total sweep budget.
-  std::size_t max_samples = 4096;
-  std::uint64_t seed = Rng::kDefaultSeed;
-  /// Bound family for the separation test.
-  BoundKind bound = BoundKind::kNormal;
-  /// Worker threads for the refinement rounds; same semantics as
-  /// `SamplingOptions::num_threads` (0 = unset/serial, engine may
-  /// substitute its pool width). Results are bit-identical at every
-  /// thread count: each sweep draws from its own `ShardSeed` stream and
-  /// the separation test runs on deterministically merged statistics at
-  /// round boundaries.
-  std::size_t num_threads = 0;
-  /// Optional persistent worker pool (non-owning; must outlive the
-  /// call). Null = transient pool per call when `num_threads > 1`.
-  ThreadPool* pool = nullptr;
-  /// Polled between sweeps; see SamplingOptions::cancel.
-  CancelToken cancel;
-  /// Soft stop: finish the current round and return the partial
-  /// ranking + estimates (see StopRule::soften).
-  CancelToken soften;
-};
-
-/// Result of the adaptive top-k estimation.
-struct TopKResult {
-  /// Per-player estimates (indexed by player).
-  std::vector<Estimate> estimates;
-  /// Players sorted by estimated value, descending.
-  std::vector<std::size_t> ranking;
-  /// True when the k-th and (k+1)-th players' confidence intervals
-  /// separated before the budget ran out.
-  bool separated = false;
-  /// Permutation sweeps consumed.
-  std::size_t sweeps = 0;
-  /// The soften token ended the run early (partial but valid ranking).
-  bool softened = false;
-};
-
-/// Samples permutation sweeps in rounds until the top-k set is
-/// CI-separated from the rest (lower bound of the k-th estimate above
-/// the upper bound of the (k+1)-th) or the budget is exhausted. This is
-/// the right driver for the T-REx GUI flow, where the user only reads
-/// the first few rows of the ranking. Runs on the wave-synchronous
-/// sweep driver: a round's sweeps execute in parallel and the
-/// separation test is evaluated at round boundaries only.
-[[nodiscard]] Result<TopKResult> EstimateTopKPlayers(const Game& game,
-                                       const TopKOptions& options = {});
 
 }  // namespace trex::shap
 

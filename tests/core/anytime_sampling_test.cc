@@ -4,6 +4,7 @@
 // stopping wave, the freeze set, and every merged estimate must depend
 // only on the configuration, never on scheduling.
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -334,39 +335,56 @@ TEST(AnytimeSweepTest, SinglePlayerEstimatorHonoursSoften) {
   EXPECT_EQ(estimate->num_samples, 32u);  // one check interval
 }
 
+/// Top-k separation as the engine's top-k driver configures it: one
+/// sweep per shard and a separation test every `batch` sweeps.
+SamplingOptions TopKSampling(std::size_t k, std::size_t batch,
+                             std::size_t max_sweeps, std::uint64_t seed) {
+  SamplingOptions options;
+  options.num_samples = max_sweeps;
+  options.seed = seed;
+  options.shard_size = 1;
+  options.check_interval = batch;
+  options.stop.top_k = k;
+  options.stop.z = 2.0;
+  options.stop.min_samples = 8;
+  return options;
+}
+
+/// Players by estimate, descending; ties keep index order.
+std::vector<std::size_t> Ranking(const std::vector<Estimate>& estimates) {
+  std::vector<std::size_t> order(estimates.size());
+  for (std::size_t p = 0; p < order.size(); ++p) order[p] = p;
+  std::stable_sort(order.begin(), order.end(),
+                   [&estimates](std::size_t a, std::size_t b) {
+                     return estimates[a].value > estimates[b].value;
+                   });
+  return order;
+}
+
 TEST(TopKAnytimeTest, BitIdenticalAcrossThreadCounts) {
   const CountingGame game = NoisyWithNullPlayer();
-  TopKOptions options;
   // Players 1 and 2 tie at Shapley value 0.7 (0.5 + half the 0.4
   // interaction vs the plain 0.7 weight), so top-1 never separates;
   // top-2 = {1, 2} separates cleanly from player 0 at 0.5.
-  options.k = 2;
-  options.batch = 16;
-  options.max_samples = 2048;
-  options.seed = 59;
+  SamplingOptions options = TopKSampling(/*k=*/2, /*batch=*/16,
+                                         /*max_sweeps=*/2048, /*seed=*/59);
 
   options.num_threads = 1;
-  auto serial = EstimateTopKPlayers(game, options);
-  ASSERT_TRUE(serial.ok());
-  EXPECT_TRUE(serial->separated);
-  EXPECT_LT(serial->sweeps, options.max_samples);
-  EXPECT_TRUE((serial->ranking[0] == 1u && serial->ranking[1] == 2u) ||
-              (serial->ranking[0] == 2u && serial->ranking[1] == 1u));
+  const RunResult serial = RunAllPlayers(game, options);
+  EXPECT_TRUE(serial.outcome.separated);
+  EXPECT_LT(serial.outcome.sweeps, options.num_samples);
+  const std::vector<std::size_t> ranking = Ranking(serial.estimates);
+  EXPECT_TRUE((ranking[0] == 1u && ranking[1] == 2u) ||
+              (ranking[0] == 2u && ranking[1] == 1u));
 
   for (const std::size_t threads : {2u, 8u}) {
     options.num_threads = threads;
-    auto parallel = EstimateTopKPlayers(game, options);
-    ASSERT_TRUE(parallel.ok());
+    const RunResult parallel = RunAllPlayers(game, options);
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
-    EXPECT_EQ(serial->ranking, parallel->ranking);
-    EXPECT_EQ(serial->sweeps, parallel->sweeps);
-    EXPECT_EQ(serial->separated, parallel->separated);
-    ASSERT_EQ(serial->estimates.size(), parallel->estimates.size());
-    for (std::size_t p = 0; p < serial->estimates.size(); ++p) {
-      EXPECT_EQ(serial->estimates[p].value, parallel->estimates[p].value);
-      EXPECT_EQ(serial->estimates[p].num_samples,
-                parallel->estimates[p].num_samples);
-    }
+    EXPECT_EQ(ranking, Ranking(parallel.estimates));
+    EXPECT_EQ(serial.outcome.sweeps, parallel.outcome.sweeps);
+    EXPECT_EQ(serial.outcome.separated, parallel.outcome.separated);
+    ExpectBitIdentical(serial, parallel);
   }
 }
 
@@ -374,21 +392,17 @@ TEST(TopKAnytimeTest, SoftenReturnsPartialRanking) {
   const CountingGame game = NoisyWithNullPlayer();
   CancelSource soften;
   soften.Cancel();
-  TopKOptions options;
-  options.k = 1;
-  options.batch = 16;
-  options.max_samples = 2048;
-  options.seed = 59;
+  SamplingOptions options = TopKSampling(/*k=*/1, /*batch=*/16,
+                                         /*max_sweeps=*/2048, /*seed=*/59);
   // Keep separation from firing on the very first round so the soften
   // path is what ends the run.
-  options.z = 1000.0;
-  options.soften = soften.token();
-  auto result = EstimateTopKPlayers(game, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->softened);
-  EXPECT_FALSE(result->separated);
-  EXPECT_EQ(result->sweeps, options.batch);  // one round
-  EXPECT_EQ(result->ranking.size(), 4u);
+  options.stop.z = 1000.0;
+  options.stop.soften = soften.token();
+  const RunResult run = RunAllPlayers(game, options);
+  EXPECT_TRUE(run.outcome.softened);
+  EXPECT_FALSE(run.outcome.separated);
+  EXPECT_EQ(run.outcome.sweeps, 16u);  // one round
+  EXPECT_EQ(run.estimates.size(), 4u);
 }
 
 TEST(StratifiedAnytimeTest, BitIdenticalAcrossThreadCounts) {

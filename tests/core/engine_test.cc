@@ -622,6 +622,60 @@ TEST(EngineTest, TopKCellRankingIsPinned) {
   }
 }
 
+TEST(EngineTest, ZeroSweepBudgetRejectedBeforeTheReferenceRepair) {
+  // A sampled request with no sweeps has no estimate to give: each kind
+  // is rejected up front, before the reference repair is paid for.
+  ExplainRequest cells = CellsRequest(data::SoccerTargetCell(), 0, 1);
+  ExplainRequest single;
+  single.target = data::SoccerTargetCell();
+  single.kind = ExplainKind::kSingleCell;
+  single.cells.num_samples = 0;
+  single.single_cell = data::SoccerCell(5, "League");
+  ExplainRequest constraints = ConstraintRequest(data::SoccerTargetCell());
+  constraints.constraints.force_sampling = true;
+  constraints.constraints.sampling.num_samples = 0;
+  // With anytime enabled, `max_sweeps` is the budget when set.
+  AnytimeOptions anytime;
+  anytime.target_ci_half_width = 0.1;
+  ExplainRequest anytime_cells =
+      CellsRequest(data::SoccerTargetCell(), 0, 1);
+  anytime_cells.anytime = anytime;
+  for (const ExplainRequest& request :
+       {cells, single, constraints, anytime_cells}) {
+    SCOPED_TRACE(ExplainKindToString(request.kind));
+    Engine engine(Alg(), data::SoccerConstraints(), data::SoccerDirtyTable());
+    auto result = engine.Explain(request);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(engine.num_algorithm_calls(), 0u);
+  }
+
+  // A `max_sweeps` override supplies the budget a zero `num_samples`
+  // lacks; exact paths never read the sweep budget.
+  anytime.max_sweeps = 8;
+  anytime_cells.anytime = anytime;
+  ExplainRequest exact_constraints =
+      ConstraintRequest(data::SoccerTargetCell());
+  exact_constraints.constraints.sampling.num_samples = 0;
+  for (const ExplainRequest& request :
+       {anytime_cells, exact_constraints}) {
+    SCOPED_TRACE(ExplainKindToString(request.kind));
+    Engine engine(Alg(), data::SoccerConstraints(), data::SoccerDirtyTable());
+    auto result = engine.Explain(request);
+    EXPECT_TRUE(result.ok()) << result.status();
+  }
+}
+
+TEST(EngineTest, TopKCellsRejectsZeroK) {
+  Engine engine(Alg(), data::SoccerConstraints(), data::SoccerDirtyTable());
+  CellExplainerOptions cells;
+  cells.policy = AbsentCellPolicy::kNull;
+  auto ex = engine.ExplainTopKCells(data::SoccerTargetCell(), 0, cells);
+  ASSERT_FALSE(ex.ok());
+  EXPECT_EQ(ex.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.num_algorithm_calls(), 0u);
+}
+
 TEST(EngineTest, ExplainKindNames) {
   EXPECT_STREQ(ExplainKindToString(ExplainKind::kConstraints),
                "constraints");

@@ -1,5 +1,5 @@
-// Tests for the sampling extensions: stratified estimation and the
-// adaptive top-k driver.
+// Tests for the sampling extensions: stratified estimation and top-k
+// separation (`StopRule::top_k`) on the sweep estimator.
 
 #include <gtest/gtest.h>
 
@@ -105,16 +105,51 @@ TEST(StratifiedTest, DeterministicForSeed) {
   EXPECT_DOUBLE_EQ(a->value, b->value);
 }
 
+/// Top-k separation on the sweep estimator, configured as the engine's
+/// top-k driver does: one sweep per shard, a CI-separation test every
+/// `batch` sweeps with z = 2, no separation below 8 samples.
+SamplingOptions TopK(std::size_t k, std::size_t batch = 16,
+                     std::size_t max_sweeps = 4096) {
+  SamplingOptions options;
+  options.num_samples = max_sweeps;
+  options.shard_size = 1;
+  options.check_interval = batch;
+  options.stop.top_k = k;
+  options.stop.z = 2.0;
+  options.stop.min_samples = 8;
+  return options;
+}
+
+struct TopKRun {
+  std::vector<Estimate> estimates;
+  /// Players by estimate, descending; ties keep index order.
+  std::vector<std::size_t> ranking;
+  SweepOutcome outcome;
+};
+
+TopKRun RunTopK(const Game& game, const SamplingOptions& options) {
+  TopKRun run;
+  auto estimates = EstimateShapleyAllPlayers(game, options, &run.outcome);
+  EXPECT_TRUE(estimates.ok()) << estimates.status();
+  if (!estimates.ok()) return run;
+  run.estimates = std::move(*estimates);
+  run.ranking.resize(run.estimates.size());
+  for (std::size_t p = 0; p < run.ranking.size(); ++p) run.ranking[p] = p;
+  std::stable_sort(run.ranking.begin(), run.ranking.end(),
+                   [&run](std::size_t a, std::size_t b) {
+                     return run.estimates[a].value > run.estimates[b].value;
+                   });
+  return run;
+}
+
 TEST(TopKTest, FindsTheTopPlayer) {
   const LambdaGame game = GloveGame();
-  TopKOptions options;
-  options.k = 1;
+  SamplingOptions options = TopK(1);
   options.seed = 19;
-  auto result = EstimateTopKPlayers(game, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->separated);
-  EXPECT_EQ(result->ranking[0], 0u);  // the left glove dominates
-  EXPECT_LT(result->sweeps, options.max_samples);
+  const TopKRun result = RunTopK(game, options);
+  EXPECT_TRUE(result.outcome.separated);
+  EXPECT_EQ(result.ranking[0], 0u);  // the left glove dominates
+  EXPECT_LT(result.outcome.sweeps, options.num_samples);
 }
 
 TEST(TopKTest, SeparationStopsEarlyOnEasyGames) {
@@ -127,71 +162,55 @@ TEST(TopKTest, SeparationStopsEarlyOnEasyGames) {
     }
     return total;
   });
-  TopKOptions options;
-  options.k = 2;
-  options.batch = 8;
-  auto result = EstimateTopKPlayers(game, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->separated);
-  EXPECT_EQ(result->ranking[0], 0u);
-  EXPECT_EQ(result->ranking[1], 1u);
-  EXPECT_LE(result->sweeps, 64u);
+  const TopKRun result = RunTopK(game, TopK(2, /*batch=*/8));
+  EXPECT_TRUE(result.outcome.separated);
+  EXPECT_EQ(result.ranking[0], 0u);
+  EXPECT_EQ(result.ranking[1], 1u);
+  EXPECT_LE(result.outcome.sweeps, 64u);
 }
 
 TEST(TopKTest, BudgetExhaustionOnTiedPlayers) {
   // Symmetric game: players are exchangeable, the k/k+1 boundary can
-  // never separate; the driver must stop at the budget.
+  // never separate; the estimator must stop at the budget.
   LambdaGame game(4, [](std::uint64_t mask) {
     return std::popcount(mask) >= 2 ? 1.0 : 0.0;
   });
-  TopKOptions options;
-  options.k = 2;
-  options.max_samples = 128;
-  options.batch = 16;
-  auto result = EstimateTopKPlayers(game, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(result->separated);
-  EXPECT_EQ(result->sweeps, 128u);
+  const TopKRun result =
+      RunTopK(game, TopK(2, /*batch=*/16, /*max_sweeps=*/128));
+  EXPECT_FALSE(result.outcome.separated);
+  EXPECT_EQ(result.outcome.sweeps, 128u);
 }
 
 TEST(TopKTest, KCoveringAllPlayersIsTriviallySeparated) {
   const LambdaGame game = GloveGame();
-  TopKOptions options;
-  options.k = 3;
-  auto result = EstimateTopKPlayers(game, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->separated);
+  const TopKRun result = RunTopK(game, TopK(3));
+  EXPECT_TRUE(result.outcome.separated);
 }
 
 TEST(TopKTest, EstimatesAgreeWithExact) {
   const LambdaGame game = GloveGame();
-  TopKOptions options;
-  options.k = 1;
-  options.max_samples = 4096;
+  SamplingOptions options = TopK(1);
   options.seed = 23;
-  auto result = EstimateTopKPlayers(game, options);
-  ASSERT_TRUE(result.ok());
+  const TopKRun result = RunTopK(game, options);
   auto exact = ComputeExactShapley(game);
   ASSERT_TRUE(exact.ok());
   // The top player's estimate must be near its exact value even when
   // stopping early (unbiasedness doesn't depend on the stop rule's
   // ordering statistics much at these counts).
-  EXPECT_NEAR(result->estimates[result->ranking[0]].value,
-              (*exact)[result->ranking[0]], 0.1);
+  EXPECT_NEAR(result.estimates[result.ranking[0]].value,
+              (*exact)[result.ranking[0]], 0.1);
 }
 
 TEST(TopKTest, Validation) {
+  // k == 0 is rejected by Engine::ExplainTopKCells (engine_test); here
+  // the sweep estimator itself rejects an empty budget and answers an
+  // empty game with no estimates.
   const LambdaGame game = GloveGame();
-  TopKOptions options;
-  options.k = 0;
-  EXPECT_FALSE(EstimateTopKPlayers(game, options).ok());
-  options.k = 1;
-  options.batch = 0;
-  EXPECT_FALSE(EstimateTopKPlayers(game, options).ok());
+  EXPECT_FALSE(EstimateShapleyAllPlayers(game, TopK(1, 16, 0)).ok());
   LambdaGame empty(0, [](std::uint64_t) { return 0.0; });
-  auto result = EstimateTopKPlayers(empty, {});
+  auto result = EstimateShapleyAllPlayers(empty, TopK(1));
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->estimates.empty());
+  EXPECT_TRUE(result->empty());
 }
 
 }  // namespace

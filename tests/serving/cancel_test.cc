@@ -188,13 +188,17 @@ TEST(CancelThreadingTest, SinglePlayerEstimatorsObserveCancellation) {
     EXPECT_LT(game.calls(), 32u);
   }
   {
+    // Top-k separation: one sweep per shard, a test every 8 sweeps.
     CountingGame game(5, 40);
-    shap::TopKOptions options;
-    options.k = 2;
-    options.batch = 8;
-    options.max_samples = 1024;
+    shap::SamplingOptions options;
+    options.num_samples = 1024;
+    options.shard_size = 1;
+    options.check_interval = 8;
+    options.stop.top_k = 2;
+    options.stop.z = 2.0;
+    options.stop.min_samples = 8;
     options.cancel = game.token();
-    auto result = shap::EstimateTopKPlayers(game, options);
+    auto result = shap::EstimateShapleyAllPlayers(game, options);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
     EXPECT_LT(game.calls(), 128u);
