@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numeric>
+#include <optional>
 
-#include "common/logging.h"
 #include "common/thread_pool.h"
 
 namespace trex::shap {
