@@ -140,8 +140,10 @@ Result<BlackBoxRepair> BlackBoxRepair::MakeMultiTarget(
   // The delta-evaluation base: every perturbation's fingerprints derive
   // from these in O(#writes).
   box.dirty_->DualFingerprint(&box.dirty_fp64_, &box.dirty_fp128_);
-  TREX_ASSIGN_OR_RETURN(box.clean_,
-                        algorithm->Repair(box.dcs_, *box.dirty_));
+  // Every constraint-subset repair runs over this same dirty table: bind
+  // the algorithm to it once (a no-op forwarder for black boxes).
+  box.prepared_ = algorithm->Prepare(box.dirty_);
+  TREX_ASSIGN_OR_RETURN(box.clean_, box.prepared_->Repair(box.dcs_));
   box.state_->calls.store(1);
   for (const CellRef& target : targets) {
     auto added = box.AddTarget(target);
@@ -328,7 +330,7 @@ bool BlackBoxRepair::EvalConstraintSubset(std::uint64_t mask,
   const dc::DcSet subset = dcs_.Subset(mask);
   auto repaired = [&]() -> Result<Table> {
     TREX_FAULT_INJECT("repair.eval_constraint_miss");
-    return algorithm_->Repair(subset, *dirty_);
+    return prepared_->Repair(subset);
   }();
   if (!repaired.ok()) {
     // Failure channel, not a crash: record + abort, cache nothing (the

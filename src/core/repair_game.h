@@ -10,7 +10,10 @@
 //
 // where T^c = Alg(C, T^d) is computed exactly once. Calls are counted,
 // since each evaluation is a full repair run — the unit of cost in the
-// paper's §2.3 and in bench_ablation.
+// paper's §2.3 and in bench_ablation. The reference repair and every
+// constraint-subset run share one dirty table, so they go through the
+// algorithm bound to it once (`RepairAlgorithm::Prepare`); the count is
+// the same either way.
 //
 // ## Memoization layer contract
 //
@@ -408,6 +411,10 @@ class BlackBoxRepair {
   dc::DcSet dcs_;
   /// Shared with the owning engine/session (never null once constructed).
   std::shared_ptr<const Table> dirty_;
+  /// `algorithm_` bound to `dirty_`: answers the reference repair and
+  /// every constraint-subset miss. Perturbed tables (the cell game) go
+  /// through `algorithm_->Repair` instead, one table per coalition.
+  std::unique_ptr<const repair::PreparedRepair> prepared_;
   Table clean_;
   /// The dirty table's own fingerprints: the delta-evaluation base.
   std::uint64_t dirty_fp64_ = 0;

@@ -20,7 +20,10 @@
 // `code` to a permanent category to test fail-fast classification.
 //
 // Like every `RepairAlgorithm`, the decorator is safe for concurrent
-// `Repair` calls: its only mutable state is an atomic call counter.
+// `Repair` calls: its only mutable state is an atomic call counter. It
+// keeps the default `Prepare`, which forwards every prepared call to
+// this decorator's `Repair`, so the schedule and the "repair.backend"
+// site see each repair call, prepared or not.
 
 #ifndef TREX_REPAIR_FAULTY_H_
 #define TREX_REPAIR_FAULTY_H_

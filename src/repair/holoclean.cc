@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <map>
+#include <memory>
+#include <optional>
+#include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "dc/row_index.h"
@@ -44,22 +49,20 @@ struct WorkingState {
   }
 };
 
-/// Shared per-run context: the dirty table's statistics and the DC set.
-struct Context {
+/// What a cell model reads: the dirty table, its statistics and the
+/// options. The statistics must be fully built (`TableStats::BuildAll`),
+/// so that any number of threads can read them.
+struct DirtyContext {
   const Table& dirty;
-  const dc::DcSet& dcs;
-  TableStats stats;
+  const TableStats& stats;
   const HoloCleanOptions& options;
-
-  Context(const Table& dirty_in, const dc::DcSet& dcs_in,
-          const HoloCleanOptions& options_in)
-      : dirty(dirty_in), dcs(dcs_in), stats(&dirty_in), options(options_in) {}
 };
 
 /// Candidate domain for one cell: mined from co-occurrence with the
-/// tuple's other attributes, plus the current value and the column mode.
-std::vector<Value> BuildDomain(Context* ctx, CellRef cell) {
-  const Table& table = ctx->dirty;
+/// tuple's other attributes, plus the current value and the column mode,
+/// capped at `max_domain_size` values.
+std::vector<Value> BuildDomain(const DirtyContext& ctx, CellRef cell) {
+  const Table& table = ctx.dirty;
   const std::size_t num_cols = table.num_columns();
 
   // Score candidates by summed co-occurrence probability. Evidence with
@@ -70,15 +73,15 @@ std::vector<Value> BuildDomain(Context* ctx, CellRef cell) {
     if (other == cell.col) continue;
     const Value& evidence = table.at(cell.row, other);
     if (evidence.is_null()) continue;
-    const JointStats& joint = ctx->stats.Joint(other, cell.col);
-    if (joint.CountGiven(evidence) < ctx->options.min_cooccurrence_support) {
+    const JointStats& joint = ctx.stats.Joint(other, cell.col);
+    if (joint.CountGiven(evidence) < ctx.options.min_cooccurrence_support) {
       continue;
     }
     for (const Value& candidate : joint.TargetsGiven(evidence)) {
       scores[candidate] += joint.ProbabilityGiven(evidence, candidate);
     }
   }
-  const ColumnStats& column = ctx->stats.Column(cell.col);
+  const ColumnStats& column = ctx.stats.Column(cell.col);
   if (auto mode = column.MostCommon(); mode.has_value()) {
     scores.emplace(*mode, 0.0);  // ensure present, keep mined score if any
   }
@@ -92,15 +95,15 @@ std::vector<Value> BuildDomain(Context* ctx, CellRef cell) {
                    [](const auto& a, const auto& b) {
                      return a.second > b.second;
                    });
+  // A non-null current value is always kept, so it takes one slot.
+  const std::size_t mined_cap = static_cast<std::size_t>(
+      ctx.options.max_domain_size - (current.is_null() ? 0 : 1));
   std::vector<Value> domain;
   for (const auto& [value, score] : ranked) {
     (void)score;
+    if (domain.size() >= mined_cap) break;
     if (!current.is_null() && value == current) continue;  // added below
     domain.push_back(value);
-    if (static_cast<int>(domain.size()) >=
-        ctx->options.max_domain_size - (current.is_null() ? 0 : 1)) {
-      break;
-    }
   }
   if (!current.is_null()) domain.push_back(current);
   std::sort(domain.begin(), domain.end());  // deterministic scan order
@@ -110,23 +113,23 @@ std::vector<Value> BuildDomain(Context* ctx, CellRef cell) {
 /// The features of assigning `candidate` to `cell` that read only the
 /// dirty table: f[0], f[1] and f[3]. f[2] is left 0 (see
 /// `ViolationFeature`).
-FeatureVector DirtyFeatures(Context* ctx, CellRef cell,
+FeatureVector DirtyFeatures(const DirtyContext& ctx, CellRef cell,
                             const Value& candidate, const Value& original) {
   FeatureVector f{};
   // f[0]: column prior from the dirty table.
-  f[0] = ctx->stats.Column(cell.col).Probability(candidate);
+  f[0] = ctx.stats.Column(cell.col).Probability(candidate);
 
   // f[1]: mean co-occurrence probability with the tuple's other
   // attributes (dirty-table statistics, as HoloClean mines evidence from
   // the input dataset).
   double cooc_sum = 0;
   int cooc_count = 0;
-  for (std::size_t other = 0; other < ctx->dirty.num_columns(); ++other) {
+  for (std::size_t other = 0; other < ctx.dirty.num_columns(); ++other) {
     if (other == cell.col) continue;
-    const Value& evidence = ctx->dirty.at(cell.row, other);
+    const Value& evidence = ctx.dirty.at(cell.row, other);
     if (evidence.is_null()) continue;
-    const JointStats& joint = ctx->stats.Joint(other, cell.col);
-    if (joint.CountGiven(evidence) < ctx->options.min_cooccurrence_support) {
+    const JointStats& joint = ctx.stats.Joint(other, cell.col);
+    if (joint.CountGiven(evidence) < ctx.options.min_cooccurrence_support) {
       continue;  // key-like evidence carries no repair signal
     }
     cooc_sum += joint.ProbabilityGiven(evidence, candidate);
@@ -142,31 +145,30 @@ FeatureVector DirtyFeatures(Context* ctx, CellRef cell,
 /// f[2]: negated fraction of DCs the row violates with `candidate`
 /// placed in `cell`, judged against `working` (the current assignment of
 /// all other cells) by what-if probes — violations lower the score.
-double ViolationFeature(Context* ctx, WorkingState* working, CellRef cell,
-                        const Value& candidate) {
-  if (ctx->dcs.empty()) return 0.0;
+double ViolationFeature(const dc::DcSet& dcs, WorkingState* working,
+                        CellRef cell, const Value& candidate) {
+  if (dcs.empty()) return 0.0;
   int violated = 0;
   for (dc::ConstraintRowIndex& index : working->row_indexes) {
     if (index.RowViolatesIf(cell.row, cell.col, candidate)) ++violated;
   }
-  return -static_cast<double>(violated) /
-         static_cast<double>(ctx->dcs.size());
+  return -static_cast<double>(violated) / static_cast<double>(dcs.size());
 }
 
-/// One cell's scoring inputs that depend only on the dirty table,
-/// computed once per run: the candidate domain and, per candidate, the
-/// dirty-table features (`DirtyFeatures`).
+/// One cell's scoring inputs that depend only on the dirty table: the
+/// candidate domain and, per candidate, the dirty-table features
+/// (`DirtyFeatures`).
 struct CellModel {
   CellRef cell;
   std::vector<Value> domain;
   std::vector<FeatureVector> features;  // parallel to `domain`
 };
 
-CellModel BuildCellModel(Context* ctx, CellRef cell) {
+CellModel BuildCellModel(const DirtyContext& ctx, CellRef cell) {
   CellModel model;
   model.cell = cell;
   model.domain = BuildDomain(ctx, cell);
-  const Value& original = ctx->dirty.at(cell);
+  const Value& original = ctx.dirty.at(cell);
   model.features.reserve(model.domain.size());
   for (const Value& candidate : model.domain) {
     model.features.push_back(DirtyFeatures(ctx, cell, candidate, original));
@@ -175,10 +177,10 @@ CellModel BuildCellModel(Context* ctx, CellRef cell) {
 }
 
 /// All four features of the model's `i`-th candidate against `working`.
-FeatureVector Featurize(Context* ctx, WorkingState* working,
+FeatureVector Featurize(const dc::DcSet& dcs, WorkingState* working,
                         const CellModel& model, std::size_t i) {
   FeatureVector f = model.features[i];
-  f[2] = ViolationFeature(ctx, working, model.cell, model.domain[i]);
+  f[2] = ViolationFeature(dcs, working, model.cell, model.domain[i]);
   return f;
 }
 
@@ -191,13 +193,13 @@ double Score(const FeatureVector& f, const FeatureVector& w) {
 /// Index of the argmax candidate under the current weights; ties break
 /// toward the smaller value (domains are value-sorted). Requires a
 /// non-empty domain.
-std::size_t BestCandidate(Context* ctx, WorkingState* working,
+std::size_t BestCandidate(const dc::DcSet& dcs, WorkingState* working,
                           const CellModel& model,
                           const FeatureVector& weights) {
   double best_score = 0;
   std::size_t best = 0;
   for (std::size_t i = 0; i < model.domain.size(); ++i) {
-    const double s = Score(Featurize(ctx, working, model, i), weights);
+    const double s = Score(Featurize(dcs, working, model, i), weights);
     if (i == 0 || s > best_score) {
       best_score = s;
       best = i;
@@ -207,29 +209,26 @@ std::size_t BestCandidate(Context* ctx, WorkingState* working,
 }
 
 /// Multiclass-perceptron weight fitting on weakly-labeled clean cells.
-FeatureVector LearnWeights(Context* ctx, WorkingState* working,
-                           const std::vector<CellRef>& clean_cells) {
-  FeatureVector w{ctx->options.w_prior, ctx->options.w_cooccurrence,
-                  ctx->options.w_violation, ctx->options.w_minimality};
-  std::vector<CellModel> models;
-  models.reserve(clean_cells.size());
-  for (const CellRef& cell : clean_cells) {
-    models.push_back(BuildCellModel(ctx, cell));
-  }
-  const double lr = ctx->options.learning_rate;
-  for (int epoch = 0; epoch < ctx->options.learning_epochs; ++epoch) {
-    for (const CellModel& model : models) {
-      if (model.domain.size() < 2) continue;
+FeatureVector LearnWeights(const Table& dirty, const dc::DcSet& dcs,
+                           const HoloCleanOptions& options,
+                           WorkingState* working,
+                           const std::vector<const CellModel*>& models) {
+  FeatureVector w{options.w_prior, options.w_cooccurrence,
+                  options.w_violation, options.w_minimality};
+  const double lr = options.learning_rate;
+  for (int epoch = 0; epoch < options.learning_epochs; ++epoch) {
+    for (const CellModel* model : models) {
+      if (model->domain.size() < 2) continue;
       // A clean cell's observed value is non-null, so its domain holds it.
-      const Value& observed = ctx->dirty.at(model.cell);
-      const std::size_t predicted = BestCandidate(ctx, working, model, w);
-      if (model.domain[predicted] == observed) continue;
+      const Value& observed = dirty.at(model->cell);
+      const std::size_t predicted = BestCandidate(dcs, working, *model, w);
+      if (model->domain[predicted] == observed) continue;
       const std::size_t observed_index = static_cast<std::size_t>(
-          std::find(model.domain.begin(), model.domain.end(), observed) -
-          model.domain.begin());
+          std::find(model->domain.begin(), model->domain.end(), observed) -
+          model->domain.begin());
       const FeatureVector f_obs =
-          Featurize(ctx, working, model, observed_index);
-      const FeatureVector f_pred = Featurize(ctx, working, model, predicted);
+          Featurize(dcs, working, *model, observed_index);
+      const FeatureVector f_pred = Featurize(dcs, working, *model, predicted);
       for (int i = 0; i < kNumFeatures; ++i) {
         w[i] += lr * (f_obs[i] - f_pred[i]);
       }
@@ -238,14 +237,67 @@ FeatureVector LearnWeights(Context* ctx, WorkingState* working,
   return w;
 }
 
-}  // namespace
+/// The dirty-table half of the pipeline (stages 2 and 3): the table's
+/// statistics plus one lazily filled model slot per cell. A model is a
+/// pure function of (dirty, cell, options), so one instance serves every
+/// constraint set.
+///
+/// Thread safety: the statistics are fully built in the constructor and
+/// only read afterwards. A slot is published with a compare-and-swap in
+/// which the first writer wins; a thread that loses the race discards
+/// its own (equal) model, which wastes work but never changes an answer.
+class DirtyModels {
+ public:
+  DirtyModels(const Table* dirty, const HoloCleanOptions* options)
+      : stats_(dirty),
+        ctx_{*dirty, stats_, *options},
+        slots_(std::make_unique<std::atomic<const CellModel*>[]>(
+            dirty->num_cells())) {
+    stats_.BuildAll();
+  }
 
-HoloCleanRepair::HoloCleanRepair(HoloCleanOptions options)
-    : options_(options) {}
+  ~DirtyModels() {
+    for (std::size_t i = 0; i < ctx_.dirty.num_cells(); ++i) {
+      delete slots_[i].load(std::memory_order_relaxed);
+    }
+  }
 
-Result<Table> HoloCleanRepair::Repair(const dc::DcSet& dcs,
-                                      const Table& dirty) const {
-  Context ctx(dirty, dcs, options_);
+  DirtyModels(const DirtyModels&) = delete;
+  DirtyModels& operator=(const DirtyModels&) = delete;
+
+  /// The model of `cell`, built on first use and read in place after.
+  const CellModel& Model(CellRef cell) const {
+    std::atomic<const CellModel*>& slot =
+        slots_[ctx_.dirty.LinearIndex(cell)];
+    const CellModel* published = slot.load(std::memory_order_acquire);
+    if (published != nullptr) return *published;
+    auto built = std::make_unique<const CellModel>(BuildCellModel(ctx_, cell));
+    if (slot.compare_exchange_strong(published, built.get(),
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+      return *built.release();
+    }
+    return *published;  // another thread won; `built` is discarded
+  }
+
+ private:
+  TableStats stats_;
+  const DirtyContext ctx_;
+  std::unique_ptr<std::atomic<const CellModel*>[]> slots_;
+};
+
+/// The whole pipeline on `dirty` under `dcs`. Stage 1 runs first, so a
+/// table without violations returns before any statistics are built;
+/// stages 2–5 then read their models from `prepared` (bound to `dirty`),
+/// or from a call-local `DirtyModels` when `prepared` is null.
+Result<Table> RunPipeline(const dc::DcSet& dcs, const Table& dirty,
+                          const HoloCleanOptions& options,
+                          const DirtyModels* prepared) {
+  if (options.max_domain_size < 1) {
+    return Status::InvalidArgument("HoloCleanOptions::max_domain_size is " +
+                                   std::to_string(options.max_domain_size) +
+                                   "; it must be at least 1");
+  }
 
   // Stage 1: error detection.
   const std::vector<dc::Violation> violations = dc::FindViolations(dirty, dcs);
@@ -257,51 +309,84 @@ Result<Table> HoloCleanRepair::Repair(const dc::DcSet& dcs,
   }
   if (noisy_linear.empty()) return dirty;
 
-  std::vector<CellRef> noisy_cells;
-  std::vector<CellRef> clean_cells;
+  std::optional<DirtyModels> local;
+  const DirtyModels& models =
+      prepared != nullptr ? *prepared : local.emplace(&dirty, &options);
+
+  // Stages 2 and 3: the noisy and training cells' domains and
+  // dirty-table features, read in place.
+  std::vector<const CellModel*> noisy_models;
+  std::vector<const CellModel*> clean_models;
   for (const CellRef& cell : dirty.AllCells()) {
     if (noisy_linear.count(dirty.LinearIndex(cell)) > 0) {
-      noisy_cells.push_back(cell);
-    } else if (!dirty.at(cell).is_null() &&
-               static_cast<int>(clean_cells.size()) <
-                   options_.max_training_cells) {
-      clean_cells.push_back(cell);
+      noisy_models.push_back(&models.Model(cell));
+    } else if (options.learn_weights && !dirty.at(cell).is_null() &&
+               static_cast<int>(clean_models.size()) <
+                   options.max_training_cells) {
+      clean_models.push_back(&models.Model(cell));
     }
   }
 
   WorkingState working(dirty, dcs);
 
   // Stage 4 (weights) uses the *unrepaired* working copy.
-  FeatureVector weights{options_.w_prior, options_.w_cooccurrence,
-                        options_.w_violation, options_.w_minimality};
-  if (options_.learn_weights) {
-    weights = LearnWeights(&ctx, &working, clean_cells);
-  }
-
-  // Stage 2 domains and dirty-table features, computed once per noisy
-  // cell.
-  std::vector<CellModel> models;
-  models.reserve(noisy_cells.size());
-  for (const CellRef& cell : noisy_cells) {
-    models.push_back(BuildCellModel(&ctx, cell));
+  FeatureVector weights{options.w_prior, options.w_cooccurrence,
+                        options.w_violation, options.w_minimality};
+  if (options.learn_weights) {
+    weights = LearnWeights(dirty, dcs, options, &working, clean_models);
   }
 
   // Stage 5: ICM to fixpoint.
-  for (int iter = 0; iter < options_.max_inference_iterations; ++iter) {
+  for (int iter = 0; iter < options.max_inference_iterations; ++iter) {
     bool changed = false;
-    for (const CellModel& model : models) {
-      if (model.domain.empty()) continue;
+    for (const CellModel* model : noisy_models) {
+      if (model->domain.empty()) continue;
       const Value& best =
-          model.domain[BestCandidate(&ctx, &working, model, weights)];
-      const Value& current = working.table.at(model.cell);
+          model->domain[BestCandidate(dcs, &working, *model, weights)];
+      const Value& current = working.table.at(model->cell);
       if (current.is_null() || best != current) {
-        working.Set(model.cell, best);
+        working.Set(model->cell, best);
         changed = true;
       }
     }
     if (!changed) break;
   }
   return working.table;
+}
+
+/// `HoloCleanRepair` bound to one dirty table: the `DirtyModels` live as
+/// long as this object, so every constraint set reuses them.
+class PreparedHoloClean : public PreparedRepair {
+ public:
+  PreparedHoloClean(const HoloCleanOptions* options,
+                    std::shared_ptr<const Table> dirty)
+      : options_(options),
+        dirty_(std::move(dirty)),
+        models_(dirty_.get(), options) {}
+
+  Result<Table> Repair(const dc::DcSet& dcs) const override {
+    return RunPipeline(dcs, *dirty_, *options_, &models_);
+  }
+
+ private:
+  const HoloCleanOptions* options_;
+  std::shared_ptr<const Table> dirty_;
+  DirtyModels models_;
+};
+
+}  // namespace
+
+HoloCleanRepair::HoloCleanRepair(HoloCleanOptions options)
+    : options_(options) {}
+
+Result<Table> HoloCleanRepair::Repair(const dc::DcSet& dcs,
+                                      const Table& dirty) const {
+  return RunPipeline(dcs, dirty, options_, nullptr);
+}
+
+std::unique_ptr<const PreparedRepair> HoloCleanRepair::Prepare(
+    std::shared_ptr<const Table> dirty) const {
+  return std::make_unique<PreparedHoloClean>(&options_, std::move(dirty));
 }
 
 }  // namespace trex::repair

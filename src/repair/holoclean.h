@@ -13,10 +13,14 @@
 //   3. Featurization     — per candidate: column prior, mean attribute
 //      co-occurrence probability, DC-violation fraction when placed, and
 //      a minimality indicator (HoloClean's feature families). Domains
-//      and the three dirty-table features are computed once per cell
-//      per run; only the violation fraction reads the working
-//      assignment, through the row indexes' what-if probes
-//      (dc/row_index.h), so scoring a candidate never writes the table.
+//      and the three dirty-table features depend only on the dirty
+//      table, so they are built once per cell per *prepared table*
+//      (`Prepare`), on the cell's first use, and read in place by every
+//      later call, whatever its constraint set; a plain `Repair` call
+//      prepares its table for that call alone. Only the violation
+//      fraction reads the working assignment, through the row indexes'
+//      what-if probes (dc/row_index.h), so scoring a candidate never
+//      writes the table.
 //   4. Weight learning   — weak supervision exactly as in the paper:
 //      cells *not* flagged noisy serve as labeled examples; a multiclass
 //      perceptron fits the feature weights.
@@ -29,6 +33,7 @@
 #ifndef TREX_REPAIR_HOLOCLEAN_H_
 #define TREX_REPAIR_HOLOCLEAN_H_
 
+#include <memory>
 #include <string>
 
 #include "repair/algorithm.h"
@@ -37,8 +42,10 @@ namespace trex::repair {
 
 /// Tuning knobs for `HoloCleanRepair`.
 struct HoloCleanOptions {
-  /// Maximum candidate-domain size per noisy cell (current value always
-  /// kept).
+  /// Maximum candidate-domain size per noisy cell, at least 1 (the
+  /// current value is always kept, so a cap of 1 never rewrites a
+  /// non-null cell). `Repair` rejects a smaller cap with
+  /// `InvalidArgument`.
   int max_domain_size = 8;
   /// ICM sweeps over the noisy cells.
   int max_inference_iterations = 10;
@@ -74,6 +81,12 @@ class HoloCleanRepair : public RepairAlgorithm {
 
   [[nodiscard]] Result<Table> Repair(const dc::DcSet& dcs,
                        const Table& dirty) const override;
+
+  /// Builds the dirty table's statistics now and keeps one model slot
+  /// per cell, filled on first use and shared by every later call. The
+  /// result borrows `*this`.
+  std::unique_ptr<const PreparedRepair> Prepare(
+      std::shared_ptr<const Table> dirty) const override;
 
   const HoloCleanOptions& options() const { return options_; }
 

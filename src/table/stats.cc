@@ -125,16 +125,47 @@ const ColumnStats& TableStats::Column(std::size_t col) {
   return it->second;
 }
 
+namespace {
+
+std::uint64_t JointKey(std::size_t cond_col, std::size_t target_col) {
+  return (static_cast<std::uint64_t>(cond_col) << 32) | target_col;
+}
+
+}  // namespace
+
 const JointStats& TableStats::Joint(std::size_t cond_col,
                                     std::size_t target_col) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(cond_col) << 32) | target_col;
+  const std::uint64_t key = JointKey(cond_col, target_col);
   auto it = joints_.find(key);
   if (it == joints_.end()) {
     it = joints_.emplace(key, JointStats::Build(*table_, cond_col,
                                                 target_col))
              .first;
   }
+  return it->second;
+}
+
+void TableStats::BuildAll() {
+  const std::size_t num_cols = table_->num_columns();
+  for (std::size_t col = 0; col < num_cols; ++col) {
+    Column(col);
+    for (std::size_t other = 0; other < num_cols; ++other) {
+      if (other != col) Joint(other, col);
+    }
+  }
+}
+
+const ColumnStats& TableStats::Column(std::size_t col) const {
+  auto it = columns_.find(col);
+  TREX_CHECK(it != columns_.end()) << "column " << col << " stats not built";
+  return it->second;
+}
+
+const JointStats& TableStats::Joint(std::size_t cond_col,
+                                    std::size_t target_col) const {
+  auto it = joints_.find(JointKey(cond_col, target_col));
+  TREX_CHECK(it != joints_.end())
+      << "joint " << cond_col << "->" << target_col << " stats not built";
   return it->second;
 }
 

@@ -93,8 +93,13 @@ class JointStats {
   friend class TableStats;
 };
 
-/// Lazily-built cache of column and pairwise statistics for one table.
-/// Repairers construct one per run; lookups after the first are O(1).
+/// Cache of column and pairwise statistics for one table, built lazily
+/// through the non-const lookups or all at once by `BuildAll`; lookups
+/// after the first are O(1).
+///
+/// Thread safety: the non-const lookups may insert and need exclusive
+/// access. After `BuildAll`, the const lookups never build, so any
+/// number of threads may read one `const TableStats` concurrently.
 class TableStats {
  public:
   explicit TableStats(const Table* table) : table_(table) {}
@@ -104,6 +109,14 @@ class TableStats {
 
   /// Conditional stats P[target|cond] (built on first use).
   const JointStats& Joint(std::size_t cond_col, std::size_t target_col);
+
+  /// Builds every column and every ordered pair of distinct columns.
+  void BuildAll();
+
+  /// Read-only lookups; the stats must already be built (e.g. by
+  /// `BuildAll`), otherwise a fatal error.
+  const ColumnStats& Column(std::size_t col) const;
+  const JointStats& Joint(std::size_t cond_col, std::size_t target_col) const;
 
  private:
   const Table* table_;

@@ -6,7 +6,10 @@
 #include <string>
 #include <vector>
 
+#include "common/fault.h"
 #include "data/soccer.h"
+#include "repair/faulty.h"
+#include "repair/holoclean.h"
 #include "repair/soccer_algorithm1.h"
 #include "dc/parser.h"
 
@@ -182,11 +185,51 @@ TEST(EngineTest, SharedDirtyTableHasOneResidentCopy) {
   EXPECT_EQ(&engine.dirty(), table.get());
   ASSERT_TRUE(engine.EnsureRepair().ok());
   // ...and hands the same object to the black-box repair: use_count is
-  // caller + engine + box, with no deep copies in between.
+  // caller + engine + box + the box's prepared repair, with no deep
+  // copies in between.
   EXPECT_EQ(engine.shared_dirty().get(), table.get());
-  EXPECT_EQ(table.use_count(), 3);
+  EXPECT_EQ(table.use_count(), 4);
   auto result = engine.Explain(ConstraintRequest(data::SoccerTargetCell()));
   ASSERT_TRUE(result.ok()) << result.status();
+}
+
+TEST(EngineTest, DecoratedBackendSeesEveryRepairCall) {
+  // A decorator that does not override `Prepare` gets the default
+  // forwarding preparation, so the box's reference repair and subset
+  // misses still pass through its `Repair` one call at a time.
+  auto faulty = std::make_shared<repair::FaultyAlgorithm>(
+      "faulty-holoclean", std::make_shared<repair::HoloCleanRepair>(),
+      repair::FaultyOptions{.skip_first = 1, .fail_first = 2});
+  // A zero-latency plan fires on every hit without failing any.
+  fault::ScopedFaultPlan plan(
+      {.seed = 1,
+       .sites = {{.site = "repair.backend",
+                  .kind = fault::FaultKind::kLatency}}});
+  const dc::DcSet dcs = data::SoccerConstraints();
+  ASSERT_EQ(dcs.size(), 4u);
+  Engine engine(faulty, dcs, data::SoccerDirtyTable());
+
+  // The reference repair passes; the first subset miss of each of the
+  // next two attempts hits the fail schedule.
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto failed =
+        engine.Explain(ConstraintRequest(data::SoccerTargetCell()));
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
+  }
+  auto result = engine.Explain(ConstraintRequest(data::SoccerTargetCell()));
+  ASSERT_TRUE(result.ok()) << result.status();
+
+  EXPECT_EQ(faulty->injected_failures(), 2u);
+  EXPECT_EQ(faulty->calls(),
+            engine.num_algorithm_calls() + faulty->injected_failures());
+  const fault::SiteCounters site =
+      fault::FaultInjector::Instance().counters("repair.backend");
+  EXPECT_EQ(site.hits, faulty->calls());
+  EXPECT_EQ(site.injected, faulty->calls());
+  // The exact game over 4 DCs is 2^4 subset repairs: the reference
+  // (the full set) plus 15 misses, however the backend is bound.
+  EXPECT_EQ(engine.num_algorithm_calls(), 16u);
 }
 
 TEST(EngineTest, ThreadCountDoesNotChangeSampledValues) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "data/errors.h"
 #include "data/generator.h"
@@ -120,13 +123,78 @@ TEST(HoloCleanTest, LearnedWeightsStillRepairHeadlineCell) {
   EXPECT_EQ(clean->at(data::SoccerTargetCell()), Value("Spain"));
 }
 
+/// Per cell, the distinct non-null values `alg` writes there across all
+/// subsets of `dcs`. A cell's candidate domain depends only on the dirty
+/// table, so whatever the constraint subset, every value written to a
+/// cell comes from that one domain.
+std::vector<std::set<Value>> ValuesAcrossSubsets(const HoloCleanRepair& alg,
+                                                 const dc::DcSet& dcs,
+                                                 const Table& dirty) {
+  std::vector<std::set<Value>> values(dirty.num_cells());
+  for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << dcs.size());
+       ++mask) {
+    auto repaired = alg.Repair(dcs.Subset(mask), dirty);
+    EXPECT_TRUE(repaired.ok()) << repaired.status();
+    if (!repaired.ok()) continue;
+    for (const CellRef& cell : dirty.AllCells()) {
+      if (!repaired->at(cell).is_null()) {
+        values[dirty.LinearIndex(cell)].insert(repaired->at(cell));
+      }
+    }
+  }
+  return values;
+}
+
+std::size_t Widest(const std::vector<std::set<Value>>& values) {
+  std::size_t widest = 0;
+  for (const auto& cell_values : values) {
+    widest = std::max(widest, cell_values.size());
+  }
+  return widest;
+}
+
 TEST(HoloCleanTest, DomainCapRespected) {
+  auto generated = data::GenerateSoccer({.num_rows = 60, .seed = 7});
+  data::ErrorInjectorOptions inject;
+  inject.error_rate = 0.08;
+  inject.seed = 11;
+  const Table dirty = data::InjectErrors(generated.clean, inject).dirty;
+
   HoloCleanOptions options;
   options.max_domain_size = 2;
+  EXPECT_LE(Widest(ValuesAcrossSubsets(HoloCleanRepair(options),
+                                       generated.dcs, dirty)),
+            2u);
+  // The default cap lets some cell take more values than that, so the
+  // bound above is the cap's doing.
+  EXPECT_GT(
+      Widest(ValuesAcrossSubsets(HoloCleanRepair(), generated.dcs, dirty)),
+      2u);
+}
+
+TEST(HoloCleanTest, DomainCapOfOneKeepsEveryNonNullCell) {
+  HoloCleanOptions options;
+  options.max_domain_size = 1;
   HoloCleanRepair alg(options);
-  auto clean =
-      alg.Repair(data::SoccerConstraints(), data::SoccerDirtyTable());
-  ASSERT_TRUE(clean.ok());  // still terminates and returns something
+  const Table dirty = data::SoccerDirtyTable();
+  auto repaired = alg.Repair(data::SoccerConstraints(), dirty);
+  ASSERT_TRUE(repaired.ok()) << repaired.status();
+  for (const CellRef& cell : dirty.AllCells()) {
+    if (dirty.at(cell).is_null()) continue;
+    EXPECT_EQ(repaired->at(cell), dirty.at(cell))
+        << cell.ToString(dirty.schema());
+  }
+}
+
+TEST(HoloCleanTest, DomainCapBelowOneIsRejected) {
+  for (int cap : {0, -1}) {
+    HoloCleanOptions options;
+    options.max_domain_size = cap;
+    auto repaired = HoloCleanRepair(options).Repair(
+        data::SoccerConstraints(), data::SoccerDirtyTable());
+    ASSERT_FALSE(repaired.ok()) << "cap " << cap;
+    EXPECT_EQ(repaired.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(HoloCleanTest, HandlesNulledCoalitionTables) {

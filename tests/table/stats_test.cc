@@ -149,5 +149,25 @@ TEST(TableStatsTest, DirectionalJointKeys) {
             Value("Madrid"));
 }
 
+TEST(TableStatsTest, BuildAllServesConstLookups) {
+  const Table t = CityTable();
+  TableStats built(&t);
+  built.BuildAll();
+  const TableStats& stats = built;
+  EXPECT_EQ(stats.Column(0).total(), 5u);
+  EXPECT_EQ(stats.Column(1).Count(Value("Spain")), 3u);
+  EXPECT_EQ(*stats.Joint(0, 1).MostCommonGiven(Value("Madrid")),
+            Value("Spain"));
+  EXPECT_EQ(*stats.Joint(1, 0).MostCommonGiven(Value("Spain")),
+            Value("Madrid"));
+}
+
+TEST(TableStatsDeathTest, ConstLookupOfUnbuiltStatsDies) {
+  const Table t = CityTable();
+  const TableStats stats(&t);
+  EXPECT_DEATH((void)stats.Column(0), "not built");
+  EXPECT_DEATH((void)stats.Joint(0, 1), "not built");
+}
+
 }  // namespace
 }  // namespace trex
