@@ -10,10 +10,8 @@ ViolationIndex::ViolationIndex(const Table& table, const DcSet* dcs)
     : table_(table), dcs_(dcs) {
   TREX_CHECK(dcs_ != nullptr);
   row_indexes_.reserve(dcs_->size());
-  columns_.reserve(dcs_->size());
   for (std::size_t c = 0; c < dcs_->size(); ++c) {
     row_indexes_.emplace_back(&table_, &dcs_->at(c));
-    columns_.push_back(dcs_->at(c).AllColumns());
   }
   for (const Violation& v : FindViolations(table_, *dcs_)) {
     violations_.insert(v);
@@ -64,7 +62,7 @@ void ViolationIndex::SetCell(CellRef cell, Value value,
   TREX_CHECK_LT(cell.col, table_.num_columns());
   table_.Set(cell, std::move(value));
   for (std::size_t c = 0; c < dcs_->size(); ++c) {
-    if (columns_[c].count(cell.col) == 0) continue;
+    if (!row_indexes_[c].ReadsColumn(cell.col)) continue;
     if (row_indexes_[c].IsKeyColumn(cell.col)) row_indexes_[c].Rekey(cell.row);
     RefreshRow(c, cell.row, removed, added);
   }
@@ -80,7 +78,7 @@ std::size_t ViolationIndex::CountIfSet(CellRef cell, const Value& value) {
   // distinct constraints are distinct, so the per-constraint counts add.
   std::size_t count = violations_.size();
   for (std::size_t c = 0; c < dcs_->size(); ++c) {
-    if (columns_[c].count(cell.col) == 0) continue;
+    if (!row_indexes_[c].ReadsColumn(cell.col)) continue;
     // Distinct current entries involving the row: row1 == row (primary
     // range) plus row2 == row (mirror range), minus the unary overlap.
     for (auto it = violations_.lower_bound(Violation{c, cell.row, 0});

@@ -96,10 +96,9 @@ class ViolationIndex {
   std::set<Violation> violations_;
   /// Mirror of `violations_` under `Row2Order` (same entries).
   std::set<Violation, Row2Order> by_row2_;
-  /// One partner-probe index per constraint, kept over `table_`.
+  /// One partner-probe index per constraint, kept over `table_`; it
+  /// also says which columns its constraint reads.
   std::vector<ConstraintRowIndex> row_indexes_;
-  /// Columns each constraint reads (`AllColumns`, computed once).
-  std::vector<std::set<std::size_t>> columns_;
 };
 
 }  // namespace trex::dc

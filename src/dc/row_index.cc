@@ -159,6 +159,16 @@ void ConstraintRowIndex::Insert(BucketMap* buckets,
   if (residual != nullptr) bucket.Add(*residual);
 }
 
+bool ConstraintRowIndex::ReadsColumn(std::size_t col) const {
+  for (const Predicate& p : dc_->predicates()) {
+    if ((p.lhs.is_cell() && p.lhs.col() == col) ||
+        (p.rhs.is_cell() && p.rhs.col() == col)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 bool ConstraintRowIndex::IsKeyColumn(std::size_t col) const {
   if (!use_buckets_) return false;
   if (histograms_built() &&

@@ -102,6 +102,11 @@ class ConstraintRowIndex {
   std::size_t ViolationCountIf(std::size_t row, std::size_t col,
                                const Value& value);
 
+  /// True iff some predicate of the constraint reads `col` (of either
+  /// tuple). A write to any other column changes no answer of this
+  /// index, so what-if probes on such a column all answer alike.
+  bool ReadsColumn(std::size_t col) const;
+
   /// True iff writes to `col` require `Rekey(row)`: the bucket-key
   /// columns, plus X and Y once the histograms exist.
   bool IsKeyColumn(std::size_t col) const;

@@ -18,12 +18,19 @@
 
 namespace trex::repair {
 
-/// Options for `HolisticRepair`.
+/// Options for `HolisticRepair`. `Repair` rejects a negative value of
+/// either field with `InvalidArgument` before doing any work.
 struct HolisticOptions {
-  /// Upper bound on repair rounds (each round fixes one MVC batch);
-  /// guards termination on unsatisfiable constraint sets.
+  /// Upper bound on repair rounds. Each round rewrites exactly one cell:
+  /// of the cells at maximum conflict degree, the (cell, candidate)
+  /// pair that leaves the fewest violations. Guards termination on
+  /// unsatisfiable constraint sets; 0 returns the input unchanged.
   int max_rounds = 64;
-  /// Candidate values per cell considered from the repair context.
+  /// Cap on the column-value fill of a cell's candidate set: the
+  /// smallest distinct values of its column are added only while the
+  /// set holds fewer than this many. The partner values from the cell's
+  /// violations and the column mode are always added, so a set can
+  /// exceed the cap.
   int max_candidates = 16;
 };
 

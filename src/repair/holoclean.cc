@@ -142,19 +142,6 @@ FeatureVector DirtyFeatures(const DirtyContext& ctx, CellRef cell,
   return f;
 }
 
-/// f[2]: negated fraction of DCs the row violates with `candidate`
-/// placed in `cell`, judged against `working` (the current assignment of
-/// all other cells) by what-if probes — violations lower the score.
-double ViolationFeature(const dc::DcSet& dcs, WorkingState* working,
-                        CellRef cell, const Value& candidate) {
-  if (dcs.empty()) return 0.0;
-  int violated = 0;
-  for (dc::ConstraintRowIndex& index : working->row_indexes) {
-    if (index.RowViolatesIf(cell.row, cell.col, candidate)) ++violated;
-  }
-  return -static_cast<double>(violated) / static_cast<double>(dcs.size());
-}
-
 /// One cell's scoring inputs that depend only on the dirty table: the
 /// candidate domain and, per candidate, the dirty-table features
 /// (`DirtyFeatures`).
@@ -176,11 +163,42 @@ CellModel BuildCellModel(const DirtyContext& ctx, CellRef cell) {
   return model;
 }
 
-/// All four features of the model's `i`-th candidate against `working`.
+/// The number of constraints under which `cell.row` would violate with
+/// `candidate` placed in `cell`, judged against `working` (the current
+/// assignment of all other cells) by what-if probes. Only constraints
+/// whose `ReadsColumn(cell.col)` equals `reads_column` are counted: a
+/// constraint that does not read the column answers alike for every
+/// candidate, so a caller scoring a whole domain probes those once.
+int ViolatedConstraints(WorkingState* working, CellRef cell,
+                        const Value& candidate, bool reads_column) {
+  int violated = 0;
+  for (dc::ConstraintRowIndex& index : working->row_indexes) {
+    if (index.ReadsColumn(cell.col) == reads_column &&
+        index.RowViolatesIf(cell.row, cell.col, candidate)) {
+      ++violated;
+    }
+  }
+  return violated;
+}
+
+/// The constraints the row violates whatever `model.cell` holds (see
+/// `ViolatedConstraints`); probed with the cell's current value.
+int FixedViolations(WorkingState* working, const CellModel& model) {
+  return ViolatedConstraints(working, model.cell,
+                             working->table.at(model.cell), false);
+}
+
+/// All four features of the model's `i`-th candidate against `working`,
+/// given the model's `FixedViolations`. f[2] is the negated fraction of
+/// DCs the row violates with the candidate placed — violations lower
+/// the score.
 FeatureVector Featurize(const dc::DcSet& dcs, WorkingState* working,
-                        const CellModel& model, std::size_t i) {
+                        const CellModel& model, std::size_t i, int fixed) {
   FeatureVector f = model.features[i];
-  f[2] = ViolationFeature(dcs, working, model.cell, model.domain[i]);
+  if (dcs.empty()) return f;
+  const int violated =
+      fixed + ViolatedConstraints(working, model.cell, model.domain[i], true);
+  f[2] = -static_cast<double>(violated) / static_cast<double>(dcs.size());
   return f;
 }
 
@@ -191,15 +209,16 @@ double Score(const FeatureVector& f, const FeatureVector& w) {
 }
 
 /// Index of the argmax candidate under the current weights; ties break
-/// toward the smaller value (domains are value-sorted). Requires a
-/// non-empty domain.
+/// toward the smaller value (domains are value-sorted). `fixed` is the
+/// model's `FixedViolations` against `working`. Requires a non-empty
+/// domain.
 std::size_t BestCandidate(const dc::DcSet& dcs, WorkingState* working,
-                          const CellModel& model,
-                          const FeatureVector& weights) {
+                          const CellModel& model, const FeatureVector& weights,
+                          int fixed) {
   double best_score = 0;
   std::size_t best = 0;
   for (std::size_t i = 0; i < model.domain.size(); ++i) {
-    const double s = Score(Featurize(dcs, working, model, i), weights);
+    const double s = Score(Featurize(dcs, working, model, i, fixed), weights);
     if (i == 0 || s > best_score) {
       best_score = s;
       best = i;
@@ -221,14 +240,17 @@ FeatureVector LearnWeights(const Table& dirty, const dc::DcSet& dcs,
       if (model->domain.size() < 2) continue;
       // A clean cell's observed value is non-null, so its domain holds it.
       const Value& observed = dirty.at(model->cell);
-      const std::size_t predicted = BestCandidate(dcs, working, *model, w);
+      const int fixed = FixedViolations(working, *model);
+      const std::size_t predicted =
+          BestCandidate(dcs, working, *model, w, fixed);
       if (model->domain[predicted] == observed) continue;
       const std::size_t observed_index = static_cast<std::size_t>(
           std::find(model->domain.begin(), model->domain.end(), observed) -
           model->domain.begin());
       const FeatureVector f_obs =
-          Featurize(dcs, working, *model, observed_index);
-      const FeatureVector f_pred = Featurize(dcs, working, *model, predicted);
+          Featurize(dcs, working, *model, observed_index, fixed);
+      const FeatureVector f_pred =
+          Featurize(dcs, working, *model, predicted, fixed);
       for (int i = 0; i < kNumFeatures; ++i) {
         w[i] += lr * (f_obs[i] - f_pred[i]);
       }
@@ -341,8 +363,8 @@ Result<Table> RunPipeline(const dc::DcSet& dcs, const Table& dirty,
     bool changed = false;
     for (const CellModel* model : noisy_models) {
       if (model->domain.empty()) continue;
-      const Value& best =
-          model->domain[BestCandidate(dcs, &working, *model, weights)];
+      const Value& best = model->domain[BestCandidate(
+          dcs, &working, *model, weights, FixedViolations(&working, *model))];
       const Value& current = working.table.at(model->cell);
       if (current.is_null() || best != current) {
         working.Set(model->cell, best);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "data/errors.h"
 #include "data/generator.h"
 #include "data/soccer.h"
@@ -82,6 +84,46 @@ TEST(HolisticTest, RoundBudgetGuardsTermination) {
   auto repaired =
       alg.Repair(data::SoccerConstraints(), data::SoccerDirtyTable());
   ASSERT_TRUE(repaired.ok());  // must terminate even when not clean
+}
+
+TEST(HolisticTest, NegativeOptionsAreRejectedOnBothPaths) {
+  const auto dirty = std::make_shared<const Table>(data::SoccerDirtyTable());
+  HolisticOptions negative_rounds;
+  negative_rounds.max_rounds = -1;
+  HolisticOptions negative_candidates;
+  negative_candidates.max_candidates = -1;
+  for (const HolisticOptions& options :
+       {negative_rounds, negative_candidates}) {
+    const HolisticRepair alg(options);
+    const Result<Table> direct =
+        alg.Repair(data::SoccerConstraints(), *dirty);
+    ASSERT_FALSE(direct.ok());
+    EXPECT_EQ(direct.status().code(), StatusCode::kInvalidArgument);
+    // Rejected before any work, even when there is nothing to repair.
+    const Result<Table> empty = alg.Repair(dc::DcSet{}, *dirty);
+    ASSERT_FALSE(empty.ok());
+    EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
+    const Result<Table> prepared =
+        alg.Prepare(dirty)->Repair(data::SoccerConstraints());
+    ASSERT_FALSE(prepared.ok());
+    EXPECT_EQ(prepared.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(HolisticTest, ZeroBudgetsAreAccepted) {
+  HolisticOptions zero_rounds;
+  zero_rounds.max_rounds = 0;
+  auto unchanged = HolisticRepair(zero_rounds)
+                       .Repair(data::SoccerConstraints(),
+                               data::SoccerDirtyTable());
+  ASSERT_TRUE(unchanged.ok()) << unchanged.status();
+  EXPECT_EQ(*unchanged, data::SoccerDirtyTable());
+
+  HolisticOptions zero_candidates;
+  zero_candidates.max_candidates = 0;
+  EXPECT_TRUE(HolisticRepair(zero_candidates)
+                  .Repair(data::SoccerConstraints(), data::SoccerDirtyTable())
+                  .ok());
 }
 
 TEST(HolisticTest, EmptyConstraintSetIsIdentity) {
