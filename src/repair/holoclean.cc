@@ -112,7 +112,7 @@ std::vector<Value> BuildDomain(const DirtyContext& ctx, CellRef cell) {
 
 /// The features of assigning `candidate` to `cell` that read only the
 /// dirty table: f[0], f[1] and f[3]. f[2] is left 0 (see
-/// `ViolationFeature`).
+/// `Featurize`).
 FeatureVector DirtyFeatures(const DirtyContext& ctx, CellRef cell,
                             const Value& candidate, const Value& original) {
   FeatureVector f{};
