@@ -126,6 +126,23 @@ TEST(HolisticTest, ZeroBudgetsAreAccepted) {
                   .ok());
 }
 
+TEST(HolisticTest, ModeIsAlwaysACandidateAndTiesTowardTheSmallerValue) {
+  // With no column-value fill, a unary violation's cell gets only the
+  // column mode; "x" and "y" tie at two rows each, and the smaller wins.
+  const Schema schema = Schema::AllStrings({"Team", "City"});
+  auto dcs = dc::ParseDcSet("!(t1.City == 'bad')", schema);
+  ASSERT_TRUE(dcs.ok()) << dcs.status();
+  Table dirty(schema);
+  for (const char* city : {"bad", "y", "x", "y", "x"}) {
+    ASSERT_TRUE(dirty.AppendRow({Value("T"), Value(city)}).ok());
+  }
+  HolisticOptions options;
+  options.max_candidates = 0;
+  auto repaired = HolisticRepair(options).Repair(*dcs, dirty);
+  ASSERT_TRUE(repaired.ok()) << repaired.status();
+  EXPECT_EQ(repaired->at(0, 1), Value("x"));
+}
+
 TEST(HolisticTest, EmptyConstraintSetIsIdentity) {
   HolisticRepair alg;
   auto repaired = alg.Repair(dc::DcSet{}, data::SoccerDirtyTable());
