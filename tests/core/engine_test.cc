@@ -633,6 +633,58 @@ TEST(EngineTest, ColumnSampleCellAnswersArePinned) {
   }
 }
 
+TEST(EngineTest, SingleCellAnswersArePinned) {
+  // kSingleCell at 300 with/without pairs on Country cells, whose values
+  // are nonzero under both policies. Under kNull the repair-call count
+  // is pinned too; it includes the reference repair.
+  struct Pin {
+    AbsentCellPolicy policy;
+    std::size_t row;
+    double shapley;
+    double std_error;
+    std::size_t algorithm_calls;  // checked under kNull only
+  };
+  constexpr AbsentCellPolicy kNull = AbsentCellPolicy::kNull;
+  constexpr AbsentCellPolicy kColumn = AbsentCellPolicy::kSampleFromColumn;
+  const Pin pins[] = {
+      {kNull, 3, 0x1.0a3d70a3d70a4p-3, 0x1.3ea6b9561218p-6, 536},
+      {kNull, 5, -0x1.eb851eb851ebfp-5, 0x1.1bd4f928ea429p-6, 540},
+      {kNull, 6, 0x1.4e81b4e81b4e9p-3, 0x1.5e441904bffd4p-6, 560},
+      {kColumn, 3, 0x1.258bf258bf25bp-3, 0x1.4c050c6a0f009p-6, 0},
+      {kColumn, 5, -0x1.8bf258bf258bcp-4, 0x1.3667c3debf76p-6, 0},
+      {kColumn, 6, 0x1.0a3d70a3d70a4p-3, 0x1.3ea6b95612183p-6, 0},
+  };
+  for (const std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
+    for (const Pin& pin : pins) {
+      SCOPED_TRACE(testing::Message()
+                   << "threads=" << num_threads << " t" << pin.row
+                   << "[Country] " << AbsentCellPolicyToString(pin.policy));
+      EngineOptions options;
+      options.num_threads = num_threads;
+      Engine engine(Alg(), data::SoccerConstraints(),
+                    data::SoccerDirtyTable(), options);
+      ExplainRequest request;
+      request.target = data::SoccerTargetCell();
+      request.kind = ExplainKind::kSingleCell;
+      request.cells.policy = pin.policy;
+      request.cells.num_samples = 300;
+      request.cells.seed = 4242;
+      request.single_cell = data::SoccerCell(pin.row, "Country");
+      auto result = engine.Explain(request);
+      ASSERT_TRUE(result.ok()) << result.status();
+      ASSERT_TRUE(result->single_cell.has_value());
+      const PlayerScore& score = *result->single_cell;
+      EXPECT_EQ(score.shapley, pin.shapley);
+      EXPECT_EQ(score.std_error, pin.std_error);
+      EXPECT_EQ(score.num_samples, 300u);
+      EXPECT_EQ(result->sweeps, 300u);
+      if (pin.policy == kNull) {
+        EXPECT_EQ(result->algorithm_calls, pin.algorithm_calls);
+      }
+    }
+  }
+}
+
 TEST(EngineTest, TopKCellRankingIsPinned) {
   // The adaptive top-1 ranking stops at the first 16-sweep round where
   // the leader's CI separates from the runner-up's.
