@@ -195,32 +195,8 @@ void IncrementalIndexAblation() {
                  "identical counts, incremental wins on wall clock");
 }
 
-void StratifiedAblation(const repair::RuleRepair& alg) {
-  std::printf("\n--- (6) stratified vs plain estimation of Shap(C3) "
-              "(equal budget) ---\n");
-  auto box = BlackBoxRepair::Make(&alg, data::SoccerConstraints(),
-                                  data::SoccerDirtyTable(),
-                                  data::SoccerTargetCell());
-  if (!box.ok()) std::exit(1);
-  ConstraintGame game(&*box);
-  std::printf("%-12s %12s %12s\n", "estimator", "estimate", "std_error");
-  shap::SamplingOptions options;
-  options.num_samples = 2000;
-  options.seed = 909;
-  auto plain = shap::EstimateShapleyForPlayer(game, 2, options);
-  auto stratified = shap::EstimateShapleyStratified(game, 2, options);
-  if (!plain.ok() || !stratified.ok()) std::exit(1);
-  std::printf("%-12s %12.5f %12.5f\n", "plain", plain->value,
-              plain->std_error);
-  std::printf("%-12s %12.5f %12.5f\n", "stratified", stratified->value,
-              stratified->std_error);
-  bench::Verdict(std::fabs(stratified->value - 2.0 / 3.0) < 0.05,
-                 "stratified estimator is unbiased too; its stderr "
-                 "shrinks when marginals are size-determined");
-}
-
 void TopKAblation(const repair::RuleRepair& alg) {
-  std::printf("\n--- (7) adaptive top-k vs fixed-budget ranking ---\n");
+  std::printf("\n--- (6) adaptive top-k vs fixed-budget ranking ---\n");
   auto box = BlackBoxRepair::Make(&alg, data::SoccerConstraints(),
                                   data::SoccerDirtyTable(),
                                   data::SoccerTargetCell());
@@ -261,14 +237,13 @@ void TopKAblation(const repair::RuleRepair& alg) {
 
 int main() {
   bench::Header("ablations: memoization, pruning, policy, antithetic, "
-                "incremental index, stratified, top-k");
+                "incremental index, top-k");
   auto alg = repair::MakeAlgorithm1();
   MemoizationAblation(*alg);
   PruningAblation(*alg);
   PolicyAblation(*alg);
   AntitheticAblation(*alg);
   IncrementalIndexAblation();
-  StratifiedAblation(*alg);
   TopKAblation(*alg);
   return 0;
 }

@@ -11,7 +11,6 @@
 #include "core/shapley_exact.h"
 #include "core/shapley_sampling.h"
 #include "dc/graph.h"
-#include "table/stats.h"
 
 namespace trex {
 namespace {
@@ -86,9 +85,7 @@ std::vector<PlayerScore> CellScores(
 void RecordOutcome(const shap::SweepOutcome& outcome, ExplainResult* result) {
   if (result == nullptr) return;
   result->sweeps = outcome.sweeps;
-  if (outcome.waves > 0) {
-    result->achieved_ci_half_width = outcome.achieved_half_width;
-  }
+  result->achieved_ci_half_width = outcome.achieved_half_width;
   result->early_stopped = outcome.stopped_early;
   result->approximate = outcome.softened;
 }
@@ -690,102 +687,26 @@ Result<Explanation> Engine::ExplainTopKCells(
 Result<PlayerScore> Engine::ExplainSingleCell(std::size_t target_index,
                                               const ExplainRequest& request,
                                               ExplainResult* result) {
-  const CellExplainerOptions& options = request.cells;
   const CellRef player_cell = *request.single_cell;
   TREX_RETURN_NOT_OK(RequireRepairedTarget(target_index));
 
   std::vector<CellRef> players =
-      PlayerCells(options, box_->target(target_index));
+      PlayerCells(request.cells, box_->target(target_index));
   // The player of interest must be in the game even if pruning would
   // drop it (its Shapley value is then provably 0, but we measure it).
-  if (std::find(players.begin(), players.end(), player_cell) ==
-      players.end()) {
-    players.push_back(player_cell);
-  }
-  std::size_t player_index = 0;
-  for (std::size_t i = 0; i < players.size(); ++i) {
-    if (players[i] == player_cell) player_index = i;
-  }
+  const std::size_t player =
+      std::find(players.begin(), players.end(), player_cell) - players.begin();
+  if (player == players.size()) players.push_back(player_cell);
 
-  const shap::SamplingOptions sampling = SweepOptions(request);
-  const shap::StopRule& stop = sampling.stop;
-  const std::size_t check_interval =
-      std::max<std::size_t>(1, sampling.check_interval);
-  Rng rng(options.seed);
-  TableStats stats(&box_->dirty());
-  auto replacement = [&](CellRef cell) -> Value {
-    if (options.policy == AbsentCellPolicy::kNull) return Value::Null();
-    const ColumnStats& column = stats.Column(cell.col);
-    if (column.total() == 0) return Value::Null();
-    return column.Sample(&rng);
-  };
-
-  // Example 2.5: per iteration, draw a permutation; the coalition is the
-  // players preceding the cell of interest. The with/without pair shares
-  // one write set — "without" appends the replacement of the cell of
-  // interest — so neither instance is materialized on the memo hit path.
-  // Replacement draws keep the original order, so estimates are
-  // bit-identical to the materialized loop.
-  bool early_stopped = false;
-  bool approximate = false;
-  shap::RunningStat stat;
-  std::vector<CellWrite> writes;
-  for (std::size_t sample = 0; sample < sampling.num_samples; ++sample) {
-    if (sampling.cancel.cancelled()) {
-      return Status::Cancelled("single-cell estimation cancelled");
-    }
-    if (stop.soften.cancelled()) {
-      // Deadline degradation: keep what we have, flag it approximate.
-      approximate = stat.count() > 0;
-      if (approximate) break;
-    }
-    const std::vector<std::size_t> perm = rng.Permutation(players.size());
-    writes.clear();
-    std::uint64_t fp64 = 0;
-    Hash128 fp128;
-    box_->dirty_fingerprints(&fp64, &fp128);
-    auto push_write = [&](CellRef cell, Value value) {
-      const FingerprintDelta delta = box_->dirty().WriteDelta(cell, value);
-      fp64 ^= delta.fp64;
-      fp128 ^= delta.fp128;
-      writes.push_back({cell, std::move(value)});
-    };
-    bool before_player = true;
-    for (std::size_t pos = 0; pos < perm.size(); ++pos) {
-      if (perm[pos] == player_index) {
-        before_player = false;
-        continue;
-      }
-      if (!before_player) {
-        const CellRef cell = players[perm[pos]];
-        push_write(cell, replacement(cell));
-      }
-    }
-    const double v_with =
-        box_->EvalPerturbation(writes, fp64, fp128, target_index) ? 1.0
-                                                                  : 0.0;
-    push_write(player_cell, replacement(player_cell));
-    const double v_without =
-        box_->EvalPerturbation(writes, fp64, fp128, target_index) ? 1.0
-                                                                  : 0.0;
-    stat.Add(v_with - v_without);
-    if (stop.target_half_width.has_value() &&
-        (sample + 1) % check_interval == 0 &&
-        shap::PlayerConverged(stat, stop)) {
-      early_stopped = sample + 1 < sampling.num_samples;
-      break;
-    }
-  }
-
-  if (result != nullptr) {
-    result->sweeps = stat.count();
-    if (stat.count() >= 2) {
-      result->achieved_ci_half_width = shap::CiHalfWidth(stat, stop);
-    }
-    result->early_stopped = early_stopped;
-    result->approximate = approximate;
-  }
-  const shap::Estimate estimate = stat.ToEstimate();
+  // Example 2.5: per sample, one permutation and the cell game's sweep
+  // state evaluated without and with the cell of interest.
+  CellGame game(&*box_, std::move(players), target_index,
+                request.cells.policy);
+  shap::SweepOutcome outcome;
+  TREX_ASSIGN_OR_RETURN(const shap::Estimate estimate,
+                        shap::EstimateShapleyForPlayer(
+                            game, player, SweepOptions(request), &outcome));
+  RecordOutcome(outcome, result);
   PlayerScore score;
   score.cell = player_cell;
   score.label = player_cell.ToString(dirty_->schema());

@@ -369,9 +369,10 @@ class Engine {
   /// and cancel tokens, and the engine's thread count and pool. The one
   /// lowering every sampled kind goes through.
   shap::SamplingOptions SweepOptions(const ExplainRequest& request);
-  /// True when the request would run a sampled path (sweeps or the
-  /// single-cell loop) rather than an exact one. For kCells this builds
-  /// the player set, so callers ask only when the answer matters.
+  /// True when the request would run a sampled path (permutation sweeps
+  /// or the single-player estimator) rather than an exact one. For
+  /// kCells this builds the player set, so callers ask only when the
+  /// answer matters.
   bool IsSampled(const ExplainRequest& request) const;
 
   // The sampled per-kind helpers take the whole request (for anytime

@@ -171,8 +171,9 @@ class CellExplainer {
                               CellRef target) const;
 
   /// The paper's Example 2.5 single-cell loop: estimates only
-  /// `player_cell`'s contribution with `num_samples` (permutation, draw)
-  /// iterations — two black-box evaluations each.
+  /// `player_cell`'s contribution with `num_samples` permutations, each
+  /// evaluated without and with the cell (two black-box evaluations)
+  /// by `shap::EstimateShapleyForPlayer` on the cell game.
   [[nodiscard]] Result<PlayerScore> ExplainSingleCell(
       const repair::RepairAlgorithm& algorithm, const dc::DcSet& dcs,
       const Table& dirty, CellRef target, CellRef player_cell) const;

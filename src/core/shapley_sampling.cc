@@ -63,12 +63,16 @@ double CiHalfWidth(const RunningStat& stat, const StopRule& rule) {
          3.0 * rule.range * log_term / n;
 }
 
+namespace {
+
+/// The convergence test behind `StopRule::target_half_width`: `stat`
+/// has at least `max(stop.min_samples, 2)` samples and its half-width
+/// is at or below the target, which must be set. The sweep estimator
+/// freezes and stops on it; the single-player estimator stops on it.
 bool PlayerConverged(const RunningStat& stat, const StopRule& stop) {
   return stat.count() >= std::max<std::size_t>(stop.min_samples, 2) &&
          CiHalfWidth(stat, stop) <= *stop.target_half_width;
 }
-
-namespace {
 
 /// The per-shard RNG seed of sharded sampling: a splitmix64 mix of the
 /// base seed and the shard index.
@@ -76,24 +80,6 @@ std::uint64_t ShardSeed(std::uint64_t seed, std::size_t shard) {
   std::uint64_t state =
       seed + 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(shard) + 1);
   return SplitMix64(&state);
-}
-
-/// One marginal-contribution sample of `player` for a given permutation:
-/// v(before ∪ {player}) − v(before), where `before` is the set of players
-/// preceding `player` in `perm`.
-double MarginalForPlayer(const Game& game,
-                         const std::vector<std::size_t>& perm,
-                         std::size_t player) {
-  const std::size_t n = game.num_players();
-  Coalition coalition(n, false);
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    if (perm[pos] == player) break;
-    coalition[perm[pos]] = true;
-  }
-  const double without = game.Value(coalition);
-  coalition[player] = true;
-  const double with = game.Value(coalition);
-  return with - without;
 }
 
 /// Folds one sweep into `stats`: draws the permutation, starts the
@@ -258,7 +244,8 @@ SweepOutcome RunShardedSweeps(const Game& game,
 
 Result<Estimate> EstimateShapleyForPlayer(const Game& game,
                                           std::size_t player,
-                                          const SamplingOptions& options) {
+                                          const SamplingOptions& options,
+                                          SweepOutcome* outcome) {
   const std::size_t n = game.num_players();
   if (player >= n) {
     return Status::OutOfRange("player " + std::to_string(player) +
@@ -273,157 +260,43 @@ Result<Estimate> EstimateShapleyForPlayer(const Game& game,
       std::max<std::size_t>(1, options.check_interval);
   Rng rng(options.seed);
   RunningStat stat;
-  for (std::size_t i = 0; i < options.num_samples; ++i) {
+  // One with/without pair: a fresh sweep state joins the players that
+  // precede `player` in `perm`, then is evaluated without and with it.
+  auto add_pair = [&](const std::vector<std::size_t>& perm) {
+    const std::unique_ptr<SweepState> state = game.BeginSweep(&rng);
+    for (const std::size_t p : perm) {
+      if (p == player) break;
+      state->Join(p);
+    }
+    const double without = state->Value();
+    state->Join(player);
+    stat.Add(state->Value() - without);
+  };
+  SweepOutcome out;
+  while (out.sweeps < options.num_samples) {
     if (options.cancel.cancelled()) {
       return Status::Cancelled("Shapley sampling cancelled");
     }
     std::vector<std::size_t> perm = rng.Permutation(n);
-    stat.Add(MarginalForPlayer(game, perm, player));
+    add_pair(perm);
     if (options.antithetic) {
       std::reverse(perm.begin(), perm.end());
-      stat.Add(MarginalForPlayer(game, perm, player));
+      add_pair(perm);
     }
-    if ((i + 1) % check_interval == 0) {
-      if (stop.soften.cancelled()) break;
-      if (stop.target_half_width.has_value() && PlayerConverged(stat, stop)) {
-        break;
-      }
+    if (++out.sweeps % check_interval != 0) continue;
+    if (stop.target_half_width.has_value() && PlayerConverged(stat, stop)) {
+      break;
+    }
+    if (stop.soften.cancelled()) {
+      out.softened = true;
+      break;
     }
   }
+  out.stopped_early = out.sweeps < options.num_samples;
+  out.achieved_half_width = CiHalfWidth(stat, stop);
+  if (outcome != nullptr) *outcome = std::move(out);
   return stat.ToEstimate();
 }
-
-Result<Estimate> EstimateShapleyStratified(const Game& game,
-                                           std::size_t player,
-                                           const SamplingOptions& options) {
-  const std::size_t n = game.num_players();
-  if (player >= n) {
-    return Status::OutOfRange("player " + std::to_string(player) +
-                              " out of range for " + std::to_string(n) +
-                              "-player game");
-  }
-  if (options.num_samples == 0) {
-    return Status::InvalidArgument("num_samples must be positive");
-  }
-
-  // Others = all players but `player`; a stratum-s coalition is a
-  // uniform size-s subset of them (partial Fisher-Yates prefix).
-  std::vector<std::size_t> base_others;
-  base_others.reserve(n - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i != player) base_others.push_back(i);
-  }
-
-  // Per-stratum state: own RNG stream (ShardSeed-derived, persisted
-  // across the pilot and Neyman phases) and own shuffle buffer, so
-  // strata can be sampled concurrently with bit-identical results at
-  // every thread count.
-  struct Stratum {
-    Rng rng{0};
-    std::vector<std::size_t> others;
-    RunningStat stat;
-  };
-  std::vector<Stratum> strata(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    strata[s].rng = Rng(ShardSeed(options.seed, s));
-    strata[s].others = base_others;
-  }
-
-  auto run_phase = [&](const std::vector<std::size_t>& alloc) {
-    ThreadPool::RunSharded(
-        options.pool, options.num_threads, n, [&](std::size_t s) {
-          Stratum& st = strata[s];
-          Coalition coalition(n, false);
-          for (std::size_t sample = 0; sample < alloc[s]; ++sample) {
-            if (options.cancel.cancelled()) return;
-            // Uniform size-s subset of `others`.
-            for (std::size_t i = 0; i < s; ++i) {
-              const std::size_t j =
-                  i + static_cast<std::size_t>(
-                          st.rng.UniformUint64(st.others.size() - i));
-              std::swap(st.others[i], st.others[j]);
-            }
-            std::fill(coalition.begin(), coalition.end(), false);
-            for (std::size_t i = 0; i < s; ++i) coalition[st.others[i]] = true;
-            const double without = game.Value(coalition);
-            coalition[player] = true;
-            const double with = game.Value(coalition);
-            coalition[player] = false;
-            st.stat.Add(with - without);
-          }
-        });
-  };
-
-  // Pilot wave: half the budget, split evenly (at least one sample per
-  // stratum so every stratum mean is defined).
-  const std::size_t pilot =
-      std::max<std::size_t>(1, options.num_samples / (2 * n));
-  run_phase(std::vector<std::size_t>(n, pilot));
-  if (options.cancel.cancelled()) {
-    return Status::Cancelled("stratified Shapley sampling cancelled");
-  }
-
-  // Neyman allocation for the remainder: extra samples proportional to
-  // the observed per-stratum standard deviation (minimises the variance
-  // of the stratified mean for a fixed budget). Largest-remainder
-  // rounding with index tie-break keeps the split deterministic; when
-  // every stratum looked deterministic in the pilot, fall back to an
-  // even split.
-  const std::size_t spent = n * pilot;
-  if (options.num_samples > spent) {
-    std::size_t remaining = options.num_samples - spent;
-    std::vector<std::size_t> alloc(n, 0);
-    double total_sd = 0.0;
-    std::vector<double> sd(n, 0.0);
-    for (std::size_t s = 0; s < n; ++s) {
-      sd[s] = std::sqrt(strata[s].stat.variance());
-      total_sd += sd[s];
-    }
-    if (total_sd <= 0.0) {
-      for (std::size_t s = 0; s < n; ++s) {
-        alloc[s] = remaining / n + (s < remaining % n ? 1 : 0);
-      }
-    } else {
-      std::vector<std::pair<double, std::size_t>> frac;  // (-fraction, s)
-      frac.reserve(n);
-      std::size_t assigned = 0;
-      for (std::size_t s = 0; s < n; ++s) {
-        const double exact =
-            static_cast<double>(remaining) * sd[s] / total_sd;
-        alloc[s] = static_cast<std::size_t>(exact);
-        assigned += alloc[s];
-        frac.emplace_back(-(exact - std::floor(exact)), s);
-      }
-      std::sort(frac.begin(), frac.end());
-      for (std::size_t i = 0; assigned < remaining; ++i) {
-        ++alloc[frac[i % n].second];
-        ++assigned;
-      }
-    }
-    run_phase(alloc);
-    if (options.cancel.cancelled()) {
-      return Status::Cancelled("stratified Shapley sampling cancelled");
-    }
-  }
-
-  // Stratified mean = (1/n) Σ_s mean_s; variance adds per stratum.
-  Estimate e;
-  double variance = 0;
-  std::size_t total = 0;
-  for (const Stratum& st : strata) {
-    e.value += st.stat.mean() / static_cast<double>(n);
-    if (st.stat.count() > 1) {
-      variance += st.stat.variance() /
-                  (static_cast<double>(st.stat.count()) *
-                   static_cast<double>(n) * static_cast<double>(n));
-    }
-    total += st.stat.count();
-  }
-  e.std_error = std::sqrt(variance);
-  e.num_samples = total;
-  return e;
-}
-
 
 Result<std::vector<Estimate>> EstimateShapleyAllPlayers(
     const Game& game, const SamplingOptions& options, SweepOutcome* outcome) {

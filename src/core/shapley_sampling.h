@@ -3,18 +3,20 @@
 //
 // The estimator draws random player permutations; the marginal
 // contribution of a player against the coalition of players preceding it
-// is an unbiased sample of its Shapley value. Two estimators:
+// is an unbiased sample of its Shapley value. Two estimators, both
+// walking the game's incremental `Game::BeginSweep` state, so the cell
+// game keeps its running write set and column-sampled replacements
+// without a sampling loop of its own:
 //
 //  * `EstimateShapleyForPlayer` — the paper's Example 2.5 loop for a
 //    single player of interest: per sample, one permutation and two
-//    characteristic-function evaluations (with and without the player).
+//    evaluations of the sweep state (without and with the player). The
+//    engine's single-cell requests run on it.
 //  * `EstimateShapleyAllPlayers` — one sweep per permutation yields a
 //    marginal sample for *every* player with n+1 evaluations, the right
 //    tool when ranking all cells. This is the one permutation-sweep
 //    sampler: the engine's cell and constraint rankings and its adaptive
-//    top-k driver all run on it. Each sweep walks the game's incremental
-//    `Game::BeginSweep` state, so the cell game keeps its running write
-//    set and column-sampled replacements without a sweep loop of its own.
+//    top-k driver all run on it.
 //
 // Anytime estimation: every estimator can stop as soon as the answer is
 // good enough instead of spending a fixed permutation budget. A
@@ -105,7 +107,7 @@ struct StopRule {
 /// Options for the sampling estimators.
 struct SamplingOptions {
   /// Number of samples (permutations). For `EstimateShapleyForPlayer`
-  /// this is the number of (with, without) evaluation pairs; for
+  /// this is the number of (without, with) evaluation pairs; for
   /// `EstimateShapleyAllPlayers` the number of full sweeps. Always an
   /// upper bound: a stopping rule can end the run earlier.
   std::size_t num_samples = 500;
@@ -119,7 +121,7 @@ struct SamplingOptions {
   /// that accepts these options.
   StopRule stop;
   /// Granularity of stopping checks, in samples. The single-player
-  /// estimators check every `check_interval` samples; the sweep
+  /// estimator checks every `check_interval` samples; the sweep
   /// estimator rounds it up to whole shards — a wave spans
   /// `max(1, ceil(check_interval / shard_size))` shards and the rule is
   /// evaluated at wave boundaries. One unified knob: larger values check
@@ -166,8 +168,7 @@ struct Estimate {
   double ci_high(double z = 1.96) const { return value + z * std_error; }
 };
 
-/// Welford running-moment accumulator (exposed for reuse by the engine's
-/// single-cell estimator and by tests).
+/// Welford running-moment accumulator (exposed for tests).
 class RunningStat {
  public:
   void Add(double x);
@@ -193,12 +194,6 @@ class RunningStat {
 /// Returns +infinity below two samples (no variance information yet).
 double CiHalfWidth(const RunningStat& stat, const StopRule& rule);
 
-/// The convergence test behind `StopRule::target_half_width`: `stat`
-/// has at least `max(stop.min_samples, 2)` samples and its half-width
-/// is at or below the target, which must be set. The sweep estimator
-/// freezes and stops on it; the single-player loops stop on it.
-bool PlayerConverged(const RunningStat& stat, const StopRule& stop);
-
 /// What a sharded sweep run produced, beyond the statistics themselves.
 struct SweepOutcome {
   /// Per-player merged statistics (shard-index merge order).
@@ -222,10 +217,17 @@ struct SweepOutcome {
   std::size_t frozen_players = 0;
 };
 
-/// Estimates the Shapley value of `player` (see file comment).
-[[nodiscard]] Result<Estimate> EstimateShapleyForPlayer(const Game& game,
-                                          std::size_t player,
-                                          const SamplingOptions& options = {});
+/// Estimates the Shapley value of `player` (see file comment). Each
+/// sample draws a permutation, then calls `game.BeginSweep` on the same
+/// RNG and joins the players preceding `player`; an antithetic sample
+/// walks the reversed permutation on a fresh sweep state. `options.stop`
+/// and its soften token are checked every `check_interval` samples.
+/// `outcome` (optional) receives `sweeps` (samples drawn),
+/// `stopped_early`, `softened` and `achieved_half_width`; its other
+/// fields keep their defaults.
+[[nodiscard]] Result<Estimate> EstimateShapleyForPlayer(
+    const Game& game, std::size_t player, const SamplingOptions& options = {},
+    SweepOutcome* outcome = nullptr);
 
 /// Estimates all players' Shapley values with permutation sweeps.
 /// `outcome` (optional) receives the full sweep outcome — sweeps
@@ -244,23 +246,6 @@ struct SweepOutcome {
 [[nodiscard]] Result<std::vector<Estimate>> EstimateShapleyAllPlayers(
     const Game& game, const SamplingOptions& options = {},
     SweepOutcome* outcome = nullptr);
-
-/// Stratified single-player estimator (Maleki et al. style): the Shapley
-/// value is the average over coalition sizes s of E[marginal | |S| = s];
-/// sampling each size stratum separately removes the variance *between*
-/// strata that plain permutation sampling pays for. `options.num_samples`
-/// is the total budget. A pilot wave spends half the budget evenly
-/// across the n strata, then the remainder follows Neyman allocation
-/// (proportional to the observed per-stratum standard deviation, which
-/// minimises the variance of the stratified mean for a fixed budget;
-/// deterministic largest-remainder rounding). Strata are sampled in
-/// parallel over `options.num_threads` / `options.pool`, each stratum on
-/// its own RNG stream seeded like a sweep shard, so results are bit-identical
-/// at every thread count. Useful when marginals differ sharply by
-/// coalition size (binary repair games often do).
-[[nodiscard]] Result<Estimate> EstimateShapleyStratified(const Game& game,
-                                           std::size_t player,
-                                           const SamplingOptions& options = {});
 
 }  // namespace trex::shap
 

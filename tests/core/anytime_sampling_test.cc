@@ -330,9 +330,47 @@ TEST(AnytimeSweepTest, SinglePlayerEstimatorHonoursSoften) {
   options.num_samples = 4096;
   options.check_interval = 32;
   options.stop.soften = soften.token();
-  auto estimate = EstimateShapleyForPlayer(game, 0, options);
+  SweepOutcome outcome;
+  auto estimate = EstimateShapleyForPlayer(game, 0, options, &outcome);
   ASSERT_TRUE(estimate.ok());
   EXPECT_EQ(estimate->num_samples, 32u);  // one check interval
+  EXPECT_EQ(outcome.sweeps, 32u);
+  EXPECT_TRUE(outcome.softened);
+  EXPECT_TRUE(outcome.stopped_early);
+  // Player 0's marginal is 0.3 or 0.7, so 32 samples bound it finitely.
+  EXPECT_GT(outcome.achieved_half_width, 0.0);
+  EXPECT_FALSE(std::isinf(outcome.achieved_half_width));
+}
+
+TEST(AnytimeSweepTest, SinglePlayerEstimatorReportsItsOutcome) {
+  const CountingGame game = NoisyWithNullPlayer();
+  SamplingOptions options;
+  options.num_samples = 4096;
+  options.seed = 5;
+  options.check_interval = 32;
+  options.stop.target_half_width = 0.05;
+  SweepOutcome outcome;
+  auto estimate = EstimateShapleyForPlayer(game, 0, options, &outcome);
+  ASSERT_TRUE(estimate.ok());
+  // The target stops the run at a check boundary, before the budget.
+  EXPECT_EQ(outcome.sweeps, estimate->num_samples);
+  EXPECT_EQ(outcome.sweeps % 32, 0u);
+  EXPECT_LT(outcome.sweeps, options.num_samples);
+  EXPECT_TRUE(outcome.stopped_early);
+  EXPECT_FALSE(outcome.softened);
+  EXPECT_LE(outcome.achieved_half_width, 0.05);
+  EXPECT_EQ(outcome.achieved_half_width, 1.96 * estimate->std_error);
+
+  // Without a rule the whole budget runs; 50 is not a multiple of the
+  // check interval.
+  options.num_samples = 50;
+  options.stop.target_half_width.reset();
+  auto full = EstimateShapleyForPlayer(game, 0, options, &outcome);
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(full->num_samples, 50u);
+  EXPECT_EQ(outcome.sweeps, 50u);
+  EXPECT_FALSE(outcome.stopped_early);
+  EXPECT_FALSE(outcome.softened);
 }
 
 /// Top-k separation as the engine's top-k driver configures it: one
@@ -403,49 +441,6 @@ TEST(TopKAnytimeTest, SoftenReturnsPartialRanking) {
   EXPECT_FALSE(run.outcome.separated);
   EXPECT_EQ(run.outcome.sweeps, 16u);  // one round
   EXPECT_EQ(run.estimates.size(), 4u);
-}
-
-TEST(StratifiedAnytimeTest, BitIdenticalAcrossThreadCounts) {
-  const CountingGame game = NoisyWithNullPlayer();
-  SamplingOptions options;
-  options.num_samples = 512;
-  options.seed = 83;
-
-  options.num_threads = 1;
-  // Player 1's marginal depends on whether player 0 precedes it, so the
-  // per-stratum variances differ and the Neyman phase is non-trivial.
-  auto serial = EstimateShapleyStratified(game, 1, options);
-  ASSERT_TRUE(serial.ok());
-
-  for (const std::size_t threads : {2u, 8u}) {
-    options.num_threads = threads;
-    auto parallel = EstimateShapleyStratified(game, 1, options);
-    ASSERT_TRUE(parallel.ok());
-    SCOPED_TRACE(testing::Message() << "threads=" << threads);
-    EXPECT_EQ(serial->value, parallel->value);
-    EXPECT_EQ(serial->std_error, parallel->std_error);
-    EXPECT_EQ(serial->num_samples, parallel->num_samples);
-  }
-}
-
-TEST(StratifiedAnytimeTest, NeymanBeatsEvenSplitOnSkewedGame) {
-  // A game whose marginal variance is concentrated in mid-size
-  // coalitions: Neyman allocation should not hurt — its std_error stays
-  // at or below a (deterministic) even-allocation baseline's on average.
-  // Here we just pin that the allocation is deterministic and the
-  // estimate is close to the known exact value for player 2.
-  const CountingGame game = NoisyWithNullPlayer();
-  SamplingOptions options;
-  options.num_samples = 2048;
-  options.seed = 83;
-  auto a = EstimateShapleyStratified(game, 2, options);
-  auto b = EstimateShapleyStratified(game, 2, options);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->value, b->value);  // deterministic end to end
-  // Player 2's weight is additive (0.7, no interactions touch it), so
-  // its exact Shapley value is 0.7.
-  EXPECT_NEAR(a->value, 0.7, 0.05);
 }
 
 }  // namespace

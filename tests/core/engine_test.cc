@@ -636,7 +636,10 @@ TEST(EngineTest, ColumnSampleCellAnswersArePinned) {
 TEST(EngineTest, SingleCellAnswersArePinned) {
   // kSingleCell at 300 with/without pairs on Country cells, whose values
   // are nonzero under both policies. Under kNull the repair-call count
-  // is pinned too; it includes the reference repair.
+  // is pinned too; it includes the reference repair. Under
+  // kSampleFromColumn each pair draws its permutation, then one
+  // replacement per player in player order (the cell game's sweep
+  // state); any change to the draw order moves these values.
   struct Pin {
     AbsentCellPolicy policy;
     std::size_t row;
@@ -650,9 +653,9 @@ TEST(EngineTest, SingleCellAnswersArePinned) {
       {kNull, 3, 0x1.0a3d70a3d70a4p-3, 0x1.3ea6b9561218p-6, 536},
       {kNull, 5, -0x1.eb851eb851ebfp-5, 0x1.1bd4f928ea429p-6, 540},
       {kNull, 6, 0x1.4e81b4e81b4e9p-3, 0x1.5e441904bffd4p-6, 560},
-      {kColumn, 3, 0x1.258bf258bf25bp-3, 0x1.4c050c6a0f009p-6, 0},
-      {kColumn, 5, -0x1.8bf258bf258bcp-4, 0x1.3667c3debf76p-6, 0},
-      {kColumn, 6, 0x1.0a3d70a3d70a4p-3, 0x1.3ea6b95612183p-6, 0},
+      {kColumn, 3, 0x1.5555555555557p-4, 0x1.05e0d5730f93cp-6, 0},
+      {kColumn, 5, -0x1.62fc962fc9635p-4, 0x1.343a7e8e9aaf1p-6, 0},
+      {kColumn, 6, 0x1.0a3d70a3d70a5p-3, 0x1.3ea6b9561218p-6, 0},
   };
   for (const std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
     for (const Pin& pin : pins) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
 
 #include "core/shapley_exact.h"
 #include "data/soccer.h"
@@ -284,26 +285,45 @@ TEST(CellExplainerTest, DeterministicForSeed) {
 
 TEST(CellExplainerTest, SingleCellEstimatorMatchesSweep) {
   // Example 2.5's per-cell loop should agree with the sweep estimate for
-  // the same policy within sampling error.
-  CellExplainerOptions options;
-  options.policy = AbsentCellPolicy::kNull;
-  options.num_samples = 800;
-  options.seed = 59;
-  CellExplainer explainer(options);
+  // the same policy within sampling error: 4 combined standard errors.
+  struct Case {
+    AbsentCellPolicy policy;
+    CellRef cell;
+  };
+  const Case cases[] = {
+      {AbsentCellPolicy::kNull, data::SoccerCell(5, "League")},
+      {AbsentCellPolicy::kSampleFromColumn, data::SoccerCell(3, "Country")},
+  };
+  for (const Case& c : cases) {
+    const std::string label =
+        c.cell.ToString(data::SoccerDirtyTable().schema());
+    SCOPED_TRACE(label + " " + AbsentCellPolicyToString(c.policy));
+    CellExplainerOptions options;
+    options.policy = c.policy;
+    options.num_samples = 2000;
+    options.seed = 59;
+    CellExplainer explainer(options);
+    auto single = explainer.ExplainSingleCell(
+        *Alg(), data::SoccerConstraints(), data::SoccerDirtyTable(),
+        data::SoccerTargetCell(), c.cell);
+    ASSERT_TRUE(single.ok()) << single.status();
 
-  auto single = explainer.ExplainSingleCell(
-      *Alg(), data::SoccerConstraints(), data::SoccerDirtyTable(),
-      data::SoccerTargetCell(), data::SoccerCell(5, "League"));
-  ASSERT_TRUE(single.ok()) << single.status();
-
-  options.method = CellMethod::kSampling;
-  CellExplainer sweeper(options);
-  auto sweep = sweeper.Explain(*Alg(), data::SoccerConstraints(),
-                               data::SoccerDirtyTable(),
-                               data::SoccerTargetCell());
-  ASSERT_TRUE(sweep.ok());
-  const auto values = AsMap(*sweep);
-  EXPECT_NEAR(single->shapley, values.at("t5[League]"), 0.08);
+    options.method = CellMethod::kSampling;
+    CellExplainer sweeper(options);
+    auto sweep = sweeper.Explain(*Alg(), data::SoccerConstraints(),
+                                 data::SoccerDirtyTable(),
+                                 data::SoccerTargetCell());
+    ASSERT_TRUE(sweep.ok()) << sweep.status();
+    const auto it = std::find_if(
+        sweep->ranked.begin(), sweep->ranked.end(),
+        [&label](const PlayerScore& score) { return score.label == label; });
+    ASSERT_NE(it, sweep->ranked.end());
+    EXPECT_EQ(single->num_samples, 2000u);
+    EXPECT_EQ(it->num_samples, 2000u);
+    EXPECT_GT(single->std_error, 0.0);
+    EXPECT_NEAR(single->shapley, it->shapley,
+                4.0 * std::hypot(single->std_error, it->std_error));
+  }
 }
 
 TEST(CellExplainerTest, SingleCellForIrrelevantCellIsZero) {

@@ -1,5 +1,5 @@
-// Tests for the sampling extensions: stratified estimation and top-k
-// separation (`StopRule::top_k`) on the sweep estimator.
+// Tests for the sampling extensions: top-k separation (`StopRule::top_k`)
+// on the sweep estimator.
 
 #include <gtest/gtest.h>
 
@@ -38,71 +38,6 @@ LambdaGame GloveGame() {
     const bool right = mask & 0b110;
     return left && right ? 1.0 : 0.0;
   });
-}
-
-TEST(StratifiedTest, ConvergesToExactValue) {
-  const LambdaGame game = GloveGame();
-  SamplingOptions options;
-  options.num_samples = 6000;
-  options.seed = 11;
-  auto estimate = EstimateShapleyStratified(game, 0, options);
-  ASSERT_TRUE(estimate.ok());
-  EXPECT_NEAR(estimate->value, 2.0 / 3.0, 0.03);
-  EXPECT_GT(estimate->num_samples, 0u);
-}
-
-TEST(StratifiedTest, ExactForSizeDeterminedGames) {
-  // v(S) = |S|: the marginal is exactly 1 in every stratum, so the
-  // stratified estimate is exact with zero variance even at a tiny
-  // budget — the case stratification is built for.
-  LambdaGame game(6, [](std::uint64_t mask) {
-    return static_cast<double>(std::popcount(mask));
-  });
-  SamplingOptions options;
-  options.num_samples = 12;  // 2 per stratum
-  auto estimate = EstimateShapleyStratified(game, 2, options);
-  ASSERT_TRUE(estimate.ok());
-  EXPECT_DOUBLE_EQ(estimate->value, 1.0);
-  EXPECT_DOUBLE_EQ(estimate->std_error, 0.0);
-}
-
-TEST(StratifiedTest, BeatsPlainSamplingOnThresholdGames) {
-  // Threshold game: v = 1 iff |S| >= 4 of 8 — marginals depend on the
-  // coalition size only, so stratification removes all between-stratum
-  // variance. Compare stderr at equal budgets.
-  LambdaGame game(8, [](std::uint64_t mask) {
-    return std::popcount(mask) >= 4 ? 1.0 : 0.0;
-  });
-  SamplingOptions options;
-  options.num_samples = 800;
-  options.seed = 13;
-  auto stratified = EstimateShapleyStratified(game, 0, options);
-  auto plain = EstimateShapleyForPlayer(game, 0, options);
-  ASSERT_TRUE(stratified.ok());
-  ASSERT_TRUE(plain.ok());
-  EXPECT_NEAR(stratified->value, 1.0 / 8.0, 0.02);
-  EXPECT_NEAR(plain->value, 1.0 / 8.0, 0.05);
-  EXPECT_LT(stratified->std_error, plain->std_error);
-}
-
-TEST(StratifiedTest, Validation) {
-  const LambdaGame game = GloveGame();
-  EXPECT_FALSE(EstimateShapleyStratified(game, 5, {}).ok());
-  SamplingOptions options;
-  options.num_samples = 0;
-  EXPECT_FALSE(EstimateShapleyStratified(game, 0, options).ok());
-}
-
-TEST(StratifiedTest, DeterministicForSeed) {
-  const LambdaGame game = GloveGame();
-  SamplingOptions options;
-  options.num_samples = 300;
-  options.seed = 17;
-  auto a = EstimateShapleyStratified(game, 1, options);
-  auto b = EstimateShapleyStratified(game, 1, options);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_DOUBLE_EQ(a->value, b->value);
 }
 
 /// Top-k separation on the sweep estimator, configured as the engine's

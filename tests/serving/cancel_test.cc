@@ -178,16 +178,6 @@ TEST(CancelThreadingTest, SinglePlayerEstimatorsObserveCancellation) {
     EXPECT_LT(game.calls(), 32u);
   }
   {
-    CountingGame game(5, 10);
-    shap::SamplingOptions options;
-    options.num_samples = 512;
-    options.cancel = game.token();
-    auto result = shap::EstimateShapleyStratified(game, 0, options);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
-    EXPECT_LT(game.calls(), 32u);
-  }
-  {
     // Top-k separation: one sweep per shard, a test every 8 sweeps.
     CountingGame game(5, 40);
     shap::SamplingOptions options;
