@@ -623,6 +623,9 @@ Result<Explanation> Engine::ExplainTopKCells(
     CellRef target, std::size_t k, const CellExplainerOptions& options,
     CancelToken cancel, CancelToken soften) {
   if (k == 0) return Status::InvalidArgument("k must be positive");
+  if (options.num_samples == 0) {
+    return Status::InvalidArgument("sweep budget must be positive");
+  }
   if (options.policy != AbsentCellPolicy::kNull) {
     return Status::InvalidArgument(
         "ExplainTopK requires AbsentCellPolicy::kNull (the adaptive "

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fault.h"
@@ -765,13 +766,22 @@ TEST(EngineTest, ZeroSweepBudgetRejectedBeforeTheReferenceRepair) {
 }
 
 TEST(EngineTest, TopKCellsRejectsZeroK) {
-  Engine engine(Alg(), data::SoccerConstraints(), data::SoccerDirtyTable());
+  // A zero k or a zero sweep budget is rejected before the reference
+  // repair is paid for.
   CellExplainerOptions cells;
   cells.policy = AbsentCellPolicy::kNull;
-  auto ex = engine.ExplainTopKCells(data::SoccerTargetCell(), 0, cells);
-  ASSERT_FALSE(ex.ok());
-  EXPECT_EQ(ex.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine.num_algorithm_calls(), 0u);
+  CellExplainerOptions no_sweeps = cells;
+  no_sweeps.num_samples = 0;
+  for (const auto& [k, options] :
+       {std::pair{std::size_t{0}, cells}, std::pair{std::size_t{1}, no_sweeps}}) {
+    SCOPED_TRACE(testing::Message() << "k=" << k << " num_samples="
+                                    << options.num_samples);
+    Engine engine(Alg(), data::SoccerConstraints(), data::SoccerDirtyTable());
+    auto ex = engine.ExplainTopKCells(data::SoccerTargetCell(), k, options);
+    ASSERT_FALSE(ex.ok());
+    EXPECT_EQ(ex.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(engine.num_algorithm_calls(), 0u);
+  }
 }
 
 TEST(EngineTest, ExplainKindNames) {
