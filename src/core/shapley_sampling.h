@@ -67,7 +67,8 @@ enum class BoundKind {
 };
 
 /// Anytime stopping rule, evaluated only at wave boundaries of the
-/// sweep estimator (see `EstimateShapleyAllPlayers`). Inactive by
+/// sweep estimator (see `EstimateShapleyAllPlayers`) and every
+/// `check_interval` samples of the single-player estimator. Inactive by
 /// default.
 struct StopRule {
   /// Stop once every player's confidence half-width is at or below this
@@ -98,7 +99,8 @@ struct StopRule {
   /// wave, merges it, and returns the partial confidence-bounded
   /// estimates with `SweepOutcome::softened` set. Unlike
   /// `SamplingOptions::cancel`, the merged statistics remain valid.
-  /// Checked at wave boundaries only (latency ≤ one wave).
+  /// Checked at wave boundaries (check intervals for the single-player
+  /// estimator) only, so its latency is at most one wave.
   CancelToken soften;
 
   bool active() const { return target_half_width.has_value() || top_k > 0; }

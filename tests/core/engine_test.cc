@@ -772,8 +772,9 @@ TEST(EngineTest, TopKCellsRejectsZeroK) {
   cells.policy = AbsentCellPolicy::kNull;
   CellExplainerOptions no_sweeps = cells;
   no_sweeps.num_samples = 0;
-  for (const auto& [k, options] :
-       {std::pair{std::size_t{0}, cells}, std::pair{std::size_t{1}, no_sweeps}}) {
+  const std::pair<std::size_t, CellExplainerOptions> cases[] = {
+      {0, cells}, {1, no_sweeps}};
+  for (const auto& [k, options] : cases) {
     SCOPED_TRACE(testing::Message() << "k=" << k << " num_samples="
                                     << options.num_samples);
     Engine engine(Alg(), data::SoccerConstraints(), data::SoccerDirtyTable());
