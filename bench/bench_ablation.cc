@@ -15,11 +15,12 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "bench_util.h"
-#include "core/explainer.h"
+#include "core/engine.h"
 #include "core/repair_game.h"
 #include "core/shapley_sampling.h"
 #include "data/errors.h"
@@ -57,31 +58,39 @@ void MemoizationAblation(const repair::RuleRepair& alg) {
   bench::Verdict(true, "cache replaces repair runs with hash lookups");
 }
 
-void PruningAblation(const repair::RuleRepair& alg) {
+/// A sampled null-or-column cell ranking request for t5[Country].
+ExplainRequest CellRanking(AbsentCellPolicy policy, std::size_t num_samples,
+                           std::uint64_t seed) {
+  ExplainRequest request;
+  request.target = data::SoccerTargetCell();
+  request.kind = ExplainKind::kCells;
+  request.cells.policy = policy;
+  request.cells.method = CellMethod::kSampling;
+  request.cells.num_samples = num_samples;
+  request.cells.seed = seed;
+  return request;
+}
+
+void PruningAblation(std::shared_ptr<const repair::RuleRepair> alg) {
   std::printf("\n--- (2) relevant-cell pruning ---\n");
   std::printf("%-10s %10s %12s %10s\n", "prune", "players", "calls",
               "seconds");
   std::map<std::string, double> pruned_values;
   std::map<std::string, double> full_values;
   for (bool prune : {true, false}) {
-    CellExplainerOptions options;
-    options.policy = AbsentCellPolicy::kNull;
-    options.method = CellMethod::kSampling;
-    options.num_samples = 400;
-    options.seed = 505;
-    options.prune = prune;
-    CellExplainer explainer(options);
-    Result<Explanation> ex = Status::Internal("unset");
+    ExplainRequest request = CellRanking(AbsentCellPolicy::kNull, 400, 505);
+    request.cells.prune = prune;
+    Result<ExplainResult> result = Status::Internal("unset");
     const double seconds = bench::TimeSeconds([&] {
-      ex = explainer.Explain(alg, data::SoccerConstraints(),
-                             data::SoccerDirtyTable(),
-                             data::SoccerTargetCell());
+      Engine engine(alg, data::SoccerConstraints(), data::SoccerDirtyTable());
+      result = engine.Explain(request);
     });
-    if (!ex.ok()) std::exit(1);
+    if (!result.ok()) std::exit(1);
+    const Explanation& ex = *result->explanation;
     std::printf("%-10s %10zu %12zu %10.3f\n", prune ? "on" : "off",
-                ex->ranked.size(), ex->algorithm_calls, seconds);
+                ex.ranked.size(), ex.algorithm_calls, seconds);
     auto& sink = prune ? pruned_values : full_values;
-    for (const PlayerScore& p : ex->ranked) sink[p.label] = p.shapley;
+    for (const PlayerScore& p : ex.ranked) sink[p.label] = p.shapley;
   }
   // Pruned-out cells must be ~0 in the full game (they are dummies).
   double max_excluded = 0;
@@ -97,24 +106,18 @@ void PruningAblation(const repair::RuleRepair& alg) {
                  "Algorithm 1's influence graph)");
 }
 
-void PolicyAblation(const repair::RuleRepair& alg) {
+void PolicyAblation(std::shared_ptr<const repair::RuleRepair> alg) {
   std::printf("\n--- (3) absent-cell policy: null vs column-sample ---\n");
   for (AbsentCellPolicy policy :
        {AbsentCellPolicy::kNull, AbsentCellPolicy::kSampleFromColumn}) {
-    CellExplainerOptions options;
-    options.policy = policy;
-    options.method = CellMethod::kSampling;
-    options.num_samples = 800;
-    options.seed = 606;
-    CellExplainer explainer(options);
-    auto ex = explainer.Explain(alg, data::SoccerConstraints(),
-                                data::SoccerDirtyTable(),
-                                data::SoccerTargetCell());
-    if (!ex.ok()) std::exit(1);
+    Engine engine(alg, data::SoccerConstraints(), data::SoccerDirtyTable());
+    auto result = engine.Explain(CellRanking(policy, 800, 606));
+    if (!result.ok()) std::exit(1);
+    const Explanation& ex = *result->explanation;
     std::printf("policy=%-14s top-3:", AbsentCellPolicyToString(policy));
-    for (std::size_t i = 0; i < 3 && i < ex->ranked.size(); ++i) {
-      std::printf("  %s=%.3f", ex->ranked[i].label.c_str(),
-                  ex->ranked[i].shapley);
+    for (std::size_t i = 0; i < 3 && i < ex.ranked.size(); ++i) {
+      std::printf("  %s=%.3f", ex.ranked[i].label.c_str(),
+                  ex.ranked[i].shapley);
     }
     std::printf("\n");
   }
@@ -240,8 +243,8 @@ int main() {
                 "incremental index, top-k");
   auto alg = repair::MakeAlgorithm1();
   MemoizationAblation(*alg);
-  PruningAblation(*alg);
-  PolicyAblation(*alg);
+  PruningAblation(alg);
+  PolicyAblation(alg);
   AntitheticAblation(*alg);
   IncrementalIndexAblation();
   TopKAblation(*alg);

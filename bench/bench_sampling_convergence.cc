@@ -8,7 +8,9 @@
 //       known: Shap(C3) = 2/3);
 //   (2) max-abs-error vs m on a reduced cell game (12 players -> exact
 //       enumeration feasible as ground truth) under the null policy;
-//   (3) the black-box call budget per m.
+//   (3) the Example 2.5 single-cell loop: its black-box call budget per
+//       m (at most 2 calls per sample plus the reference repair) and
+//       its agreement with the all-cells sweep estimate at m = 800.
 
 //   (4) the anytime path: confidence-bounded early stopping on the
 //       wave-synchronous parallel driver — anytime(8 threads) must reach
@@ -17,17 +19,19 @@
 //       across thread counts (same stopping wave). Emits "JSON " rows
 //       for the CI smoke; `--anytime_only` runs just this scenario.
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
-#include "core/explainer.h"
+#include "core/engine.h"
 #include "core/repair_game.h"
 #include "core/shapley_exact.h"
 #include "core/shapley_sampling.h"
@@ -122,24 +126,55 @@ void CellGameConvergence(const repair::RuleRepair& alg) {
                  "(max error < 0.05 at m = 1024)");
 }
 
-void SingleCellLoop(const repair::RuleRepair& alg) {
+void SingleCellLoop(std::shared_ptr<const repair::RuleRepair> alg) {
   std::printf("\n--- (3) Example 2.5 single-cell loop: "
               "Shap(t5[City]) for target t5[Country] ---\n");
-  std::printf("%8s %12s %12s\n", "m", "estimate", "std_error");
+  std::printf("%8s %12s %12s %10s\n", "m", "estimate", "std_error",
+              "calls");
+  const CellRef cell = data::SoccerCell(5, "City");
+  ExplainRequest request;
+  request.target = data::SoccerTargetCell();
+  request.kind = ExplainKind::kSingleCell;
+  request.single_cell = cell;
+  request.cells.seed = 303;
+  request.cells.policy = AbsentCellPolicy::kSampleFromColumn;
+  bool within_budget = true;
+  PlayerScore single;
   for (std::size_t m : {50u, 200u, 800u}) {
-    CellExplainerOptions options;
-    options.num_samples = m;
-    options.seed = 303;
-    options.policy = AbsentCellPolicy::kSampleFromColumn;
-    CellExplainer explainer(options);
-    auto score = explainer.ExplainSingleCell(
-        alg, data::SoccerConstraints(), data::SoccerDirtyTable(),
-        data::SoccerTargetCell(), data::SoccerCell(5, "City"));
-    if (!score.ok()) std::exit(1);
-    std::printf("%8zu %12.5f %12.5f\n", m, score->shapley,
-                score->std_error);
+    request.cells.num_samples = m;
+    // A fresh engine per m, so the calls include the reference repair.
+    Engine engine(alg, data::SoccerConstraints(), data::SoccerDirtyTable());
+    auto result = engine.Explain(request);
+    if (!result.ok()) std::exit(1);
+    single = *result->single_cell;
+    std::printf("%8zu %12.5f %12.5f %10zu\n", m, single.shapley,
+                single.std_error, result->algorithm_calls);
+    if (result->algorithm_calls > 2 * m + 1) within_budget = false;
   }
-  bench::Verdict(true, "Example 2.5 loop runs (2 black-box calls/sample)");
+  bench::Verdict(within_budget,
+                 "Example 2.5 loop costs at most 2 black-box calls/sample "
+                 "(+1 reference repair)");
+
+  // The all-cells sweep on the same policy and budget estimates the
+  // same Shapley value.
+  request.kind = ExplainKind::kCells;
+  request.cells.method = CellMethod::kSampling;
+  Engine engine(alg, data::SoccerConstraints(), data::SoccerDirtyTable());
+  auto sweep = engine.Explain(request);
+  if (!sweep.ok()) std::exit(1);
+  const std::vector<PlayerScore>& ranked = sweep->explanation->ranked;
+  const auto it = std::find_if(
+      ranked.begin(), ranked.end(),
+      [&cell](const PlayerScore& score) { return score.cell == cell; });
+  if (it == ranked.end()) std::exit(1);
+  const double tolerance = 4.0 * std::hypot(single.std_error, it->std_error);
+  std::printf("sweep estimate at m=800: %.5f (std_error %.5f); |diff| = "
+              "%.5f, 4 combined std errors = %.5f\n",
+              it->shapley, it->std_error,
+              std::fabs(single.shapley - it->shapley), tolerance);
+  bench::Verdict(std::fabs(single.shapley - it->shapley) <= tolerance,
+                 "single-cell estimate agrees with the sweep estimate "
+                 "within 4 combined standard errors at m = 800");
 }
 
 /// Latency-padded synthetic game for the anytime scenario: every
@@ -276,7 +311,7 @@ int main(int argc, char** argv) {
     auto alg = repair::MakeAlgorithm1();
     ConstraintGameConvergence(*alg);
     CellGameConvergence(*alg);
-    SingleCellLoop(*alg);
+    SingleCellLoop(alg);
   }
   AnytimeScenario();
   return 0;

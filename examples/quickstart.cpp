@@ -76,20 +76,28 @@ int main() {
                 interactions->front().label_b.c_str(),
                 interactions->front().interaction);
   }
-  ConstraintExplainer cf_explainer;
-  auto removal_sets = cf_explainer.ExplainRemovalSets(
-      session.algorithm(), session.dcs(), session.dirty(), target);
-  if (removal_sets.ok()) {
-    std::printf("to stop this repair, remove any of:");
-    for (const auto& removal : *removal_sets) {
-      std::printf("  {");
-      for (std::size_t i = 0; i < removal.size(); ++i) {
-        std::printf("%s%s", i ? "," : "", removal[i].c_str());
-      }
-      std::printf("}");
-    }
-    std::printf("\n");
+  // Any explanation kind can go through the session's engine as a
+  // request; its memo already holds every constraint subset's repair.
+  ExplainRequest removal_request;
+  removal_request.target = target;
+  removal_request.kind = ExplainKind::kRemovalSets;
+  auto removal = session.ExplainBatch({removal_request});
+  if (!removal.ok() || !removal->results[0].ok()) {
+    const Status& status =
+        removal.ok() ? removal->results[0].status() : removal.status();
+    std::fprintf(stderr, "removal sets failed: %s\n",
+                 status.ToString().c_str());
+    return 1;
   }
+  std::printf("to stop this repair, remove any of:");
+  for (const auto& set : removal->results[0]->removal_sets) {
+    std::printf("  {");
+    for (std::size_t i = 0; i < set.size(); ++i) {
+      std::printf("%s%s", i ? "," : "", set[i].c_str());
+    }
+    std::printf("}");
+  }
+  std::printf("\n");
 
   // Batched multi-target explanation: one engine, one reference repair,
   // shared memo caches. Explaining both repaired cells costs one subset

@@ -28,7 +28,7 @@ void RankDescending(std::vector<PlayerScore>* scores) {
 /// kConstraints the caller's own options) with `anytime` lowered onto
 /// them: the stopping rule, its check interval and the sweep budget
 /// override. Sampling options that carry their own stopping rule keep
-/// it.
+/// it. kTopKCells has a fixed configuration of its own (see its doc).
 shap::SamplingOptions LowerAnytime(const ExplainRequest& request,
                                    const AnytimeOptions& anytime) {
   shap::SamplingOptions sampling;
@@ -37,6 +37,22 @@ shap::SamplingOptions LowerAnytime(const ExplainRequest& request,
   } else {
     sampling.num_samples = request.cells.num_samples;
     sampling.seed = request.cells.seed;
+  }
+  if (request.kind == ExplainKind::kTopKCells) {
+    // Top-k separation: one sweep per shard and a 16-sweep round per
+    // wave, whose sweeps run concurrently; the test runs at round
+    // boundaries on deterministically merged statistics.
+    sampling.shard_size = 1;
+    sampling.check_interval = 16;
+    sampling.stop.top_k = request.top_k;
+    sampling.stop.z = 2.0;
+    sampling.stop.min_samples = 8;
+    if (anytime.enabled()) {
+      sampling.stop.bound = anytime.bound;
+      sampling.stop.z = anytime.z;
+      sampling.stop.delta = anytime.delta;
+    }
+    return sampling;
   }
   if (sampling.stop.active() || !anytime.enabled()) return sampling;
   shap::StopRule& stop = sampling.stop;
@@ -102,6 +118,17 @@ Explanation MakeBaseExplanation(const BlackBoxRepair& box,
 
 }  // namespace
 
+std::vector<PlayerScore> Explanation::TopK(std::size_t k) const {
+  const std::size_t count = std::min(k, ranked.size());
+  return {ranked.begin(), ranked.begin() + count};
+}
+
+double Explanation::TotalAttribution() const {
+  double total = 0;
+  for (const PlayerScore& p : ranked) total += p.shapley;
+  return total;
+}
+
 const char* ExplainKindToString(ExplainKind kind) {
   switch (kind) {
     case ExplainKind::kConstraints:
@@ -114,6 +141,8 @@ const char* ExplainKindToString(ExplainKind kind) {
       return "removal-sets";
     case ExplainKind::kSingleCell:
       return "single-cell";
+    case ExplainKind::kTopKCells:
+      return "top-k-cells";
   }
   return "?";
 }
@@ -134,14 +163,6 @@ Engine::Engine(std::shared_ptr<const repair::RepairAlgorithm> algorithm,
   TREX_CHECK(dirty_ != nullptr);
 }
 
-Engine Engine::Wrap(const repair::RepairAlgorithm& algorithm, dc::DcSet dcs,
-                    Table dirty, EngineOptions options) {
-  // Aliasing shared_ptr: shares no ownership, just points at `algorithm`.
-  return Engine(std::shared_ptr<const repair::RepairAlgorithm>(
-                    std::shared_ptr<const void>(), &algorithm),
-                std::move(dcs), std::move(dirty), options);
-}
-
 Status Engine::EnsureRepair() {
   if (box_.has_value()) return Status::Ok();
   // The box *shares* the engine's dirty table (one resident copy, not
@@ -149,7 +170,6 @@ Status Engine::EnsureRepair() {
   TREX_ASSIGN_OR_RETURN(
       BlackBoxRepair box,
       BlackBoxRepair::MakeMultiTarget(algorithm_.get(), dcs_, dirty_, {}));
-  box.set_max_memo_entries(options_.max_memo_entries);
   box_ = std::move(box);
   return Status::Ok();
 }
@@ -169,10 +189,6 @@ std::size_t Engine::num_cache_hits() const {
 
 std::size_t Engine::num_cross_request_hits() const {
   return box_.has_value() ? box_->num_cross_request_hits() : 0;
-}
-
-std::size_t Engine::num_cache_evictions() const {
-  return box_.has_value() ? box_->num_memo_evictions() : 0;
 }
 
 std::size_t Engine::approx_memo_bytes() const {
@@ -241,6 +257,16 @@ Status Engine::ValidateRequest(const ExplainRequest& request) const {
                                   " outside the table");
       }
       break;
+    case ExplainKind::kTopKCells:
+      if (request.top_k == 0) {
+        return Status::InvalidArgument("kTopKCells requests need top_k > 0");
+      }
+      if (request.cells.policy != AbsentCellPolicy::kNull) {
+        return Status::InvalidArgument(
+            "kTopKCells requires AbsentCellPolicy::kNull (the adaptive "
+            "driver runs on the deterministic cell game)");
+      }
+      break;
     case ExplainKind::kCells:
       break;
   }
@@ -270,6 +296,7 @@ bool Engine::IsSampled(const ExplainRequest& request) const {
                  PlayerCells(request.cells, request.target).size()) ==
              CellMethod::kSampling;
     case ExplainKind::kSingleCell:
+    case ExplainKind::kTopKCells:
       return true;
     case ExplainKind::kInteractions:
     case ExplainKind::kRemovalSets:
@@ -312,7 +339,8 @@ Result<ExplainResult> Engine::Explain(const ExplainRequest& request) {
         result.explanation = std::move(ex);
         break;
       }
-      case ExplainKind::kCells: {
+      case ExplainKind::kCells:
+      case ExplainKind::kTopKCells: {
         TREX_ASSIGN_OR_RETURN(Explanation ex,
                               ExplainCells(target_index, effective, &result));
         result.explanation = std::move(ex);
@@ -383,7 +411,6 @@ Result<BatchResult> Engine::ExplainBatch(
   const std::size_t calls_before = num_algorithm_calls();
   const std::size_t hits_before = num_cache_hits();
   const std::size_t cross_before = num_cross_request_hits();
-  const std::size_t evictions_before = num_cache_evictions();
   // One reference repair for the whole batch, however many targets.
   TREX_RETURN_NOT_OK(EnsureRepair());
   batch.stats.reference_repairs = had_repair ? 0 : 1;
@@ -422,7 +449,6 @@ Result<BatchResult> Engine::ExplainBatch(
   batch.stats.algorithm_calls = num_algorithm_calls() - calls_before;
   batch.stats.cache_hits = num_cache_hits() - hits_before;
   batch.stats.cross_request_hits = num_cross_request_hits() - cross_before;
-  batch.stats.cache_evictions = num_cache_evictions() - evictions_before;
   batch.stats.approx_memo_bytes = approx_memo_bytes();
   return batch;
 }
@@ -580,7 +606,9 @@ Result<Explanation> Engine::ExplainCells(std::size_t target_index,
   if (players.empty()) {
     return Status::InvalidArgument("no candidate player cells");
   }
-  const CellMethod method = ResolveCellMethod(options, players.size());
+  const bool top_k = request.kind == ExplainKind::kTopKCells;
+  const CellMethod method = top_k ? CellMethod::kSampling
+                                  : ResolveCellMethod(options, players.size());
   if (method == CellMethod::kExact &&
       options.policy != AbsentCellPolicy::kNull) {
     return Status::InvalidArgument(
@@ -610,80 +638,17 @@ Result<Explanation> Engine::ExplainCells(std::size_t target_index,
     TREX_ASSIGN_OR_RETURN(
         estimates, shap::EstimateShapleyAllPlayers(game, sampling, &outcome));
     RecordOutcome(outcome, result);
-    ex.method = StrFormat(
-        "sampling(m=%zu, policy=%s, players=%zu/%zu)", sampling.num_samples,
-        AbsentCellPolicyToString(options.policy), players.size(),
-        dirty_->num_cells());
+    ex.method =
+        top_k ? StrFormat("topk(k=%zu, sweeps=%zu, separated=%s%s)",
+                          request.top_k, outcome.sweeps,
+                          outcome.separated ? "yes" : "no",
+                          outcome.softened ? ", softened" : "")
+              : StrFormat("sampling(m=%zu, policy=%s, players=%zu/%zu)",
+                          sampling.num_samples,
+                          AbsentCellPolicyToString(options.policy),
+                          players.size(), dirty_->num_cells());
   }
   ex.ranked = CellScores(dirty_->schema(), players, estimates);
-  return ex;
-}
-
-Result<Explanation> Engine::ExplainTopKCells(
-    CellRef target, std::size_t k, const CellExplainerOptions& options,
-    CancelToken cancel, CancelToken soften) {
-  if (k == 0) return Status::InvalidArgument("k must be positive");
-  if (options.num_samples == 0) {
-    return Status::InvalidArgument("sweep budget must be positive");
-  }
-  if (options.policy != AbsentCellPolicy::kNull) {
-    return Status::InvalidArgument(
-        "ExplainTopK requires AbsentCellPolicy::kNull (the adaptive "
-        "driver runs on the deterministic cell game)");
-  }
-  if (target.row >= dirty_->num_rows() || target.col >= dirty_->num_columns()) {
-    return Status::OutOfRange("target cell " + target.ToString() +
-                              " outside the table");
-  }
-  const std::size_t calls_before = num_algorithm_calls();
-  const std::size_t hits_before = num_cache_hits();
-  TREX_RETURN_NOT_OK(EnsureRepair());
-  box_->BeginRequest(next_request_id_++);
-  TREX_ASSIGN_OR_RETURN(const std::size_t target_index, EnsureTarget(target));
-  TREX_RETURN_NOT_OK(RequireRepairedTarget(target_index));
-  const std::vector<CellRef> players = PlayerCells(options, target);
-  if (players.empty()) {
-    return Status::InvalidArgument("no candidate player cells");
-  }
-
-  CellGame game(&*box_, players, target_index);
-  // Top-k separation on the sweep estimator: one sweep per shard, and a
-  // 16-sweep round per wave whose sweeps run concurrently on the
-  // engine's pool. The separation test runs at round boundaries on
-  // deterministically merged statistics, so the ranking is
-  // thread-count independent.
-  shap::SamplingOptions sampling;
-  sampling.num_samples = options.num_samples;
-  sampling.seed = options.seed;
-  sampling.shard_size = 1;
-  sampling.check_interval = 16;
-  sampling.num_threads = options_.num_threads;
-  sampling.pool = SweepPool();
-  sampling.stop.top_k = k;
-  sampling.stop.z = 2.0;
-  sampling.stop.min_samples = 8;
-  if (options_.anytime.enabled()) {
-    sampling.stop.bound = options_.anytime.bound;
-    sampling.stop.z = options_.anytime.z;
-  }
-  sampling.stop.soften = std::move(soften);
-  // Same failure channel as Explain: a failed eval taints the run, so
-  // the repair failure wins over any dispatch outcome — abort-driven
-  // kCancelled, another error, or nominal success on placeholders.
-  sampling.cancel = CancelToken::AnyOf(cancel, box_->eval_abort_token());
-  shap::SweepOutcome outcome;
-  auto estimates = shap::EstimateShapleyAllPlayers(game, sampling, &outcome);
-  Status eval = box_->eval_error();
-  if (!eval.ok()) return eval;
-  if (!estimates.ok()) return estimates.status();
-
-  Explanation ex = MakeBaseExplanation(*box_, target_index);
-  ex.ranked = CellScores(dirty_->schema(), players, *estimates);
-  ex.method = StrFormat("topk(k=%zu, sweeps=%zu, separated=%s%s)", k,
-                        outcome.sweeps, outcome.separated ? "yes" : "no",
-                        outcome.softened ? ", softened" : "");
-  ex.algorithm_calls = num_algorithm_calls() - calls_before;
-  ex.cache_hits = num_cache_hits() - hits_before;
   return ex;
 }
 

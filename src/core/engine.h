@@ -36,9 +36,8 @@
 // for every other target, so a batch of constraint explanations over k
 // targets costs one sweep of the 2^|C| subsets instead of k sweeps.
 // `BatchStats::cross_request_hits` reports exactly how much work was
-// amortized; `EngineOptions::max_memo_entries` bounds the number of
-// table-memo entries (each a write set plus a disagreement set) with
-// LRU eviction for large workloads.
+// amortized. The memo is unbounded per engine; the router's engine LRU
+// (serving/router.h) is the memory bound.
 // Permutation sweeps shard across a small thread pool with
 // deterministic per-shard seeds (see shapley_sampling.h), so results
 // are bit-identical for every `EngineOptions::num_threads`, between
@@ -67,7 +66,7 @@
 //   * `BlackBoxRepair` — internally synchronized for concurrent
 //     evaluations (the sweep shards rely on this). The shared memo in
 //     `repair::CacheState` is GUARDED_BY a `SharedMutex`: shared for
-//     memo hits, exclusive for inserts and evictions.
+//     memo hits, exclusive for inserts.
 //   * `serving::EngineRouter` / `serving::ExplainService` — fully
 //     thread-safe; all guarded state is annotated, and the lock-order
 //     and stats-deadlock rules are documented in their file comments.
@@ -75,8 +74,9 @@
 //     the engine's single-caller invariant holds under concurrent
 //     traffic.
 //
-// `ConstraintExplainer`, `CellExplainer`, and `TRexSession` are thin
-// adapters over this stack.
+// Every explanation goes through `Engine::Explain` (or `ExplainBatch`);
+// `TRexSession` is a thin adapter over the serving layer for the
+// paper's interactive loop.
 
 #ifndef TREX_CORE_ENGINE_H_
 #define TREX_CORE_ENGINE_H_
@@ -87,16 +87,115 @@
 #include <string>
 #include <vector>
 
+#include "common/cancel.h"
+#include "common/random.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "core/explainer.h"
 #include "core/repair_game.h"
+#include "core/shapley_sampling.h"
 #include "dc/constraint.h"
 #include "repair/algorithm.h"
-#include "common/cancel.h"
 #include "table/table.h"
 
 namespace trex {
+
+/// One ranked player (a DC or a cell) in an explanation.
+struct PlayerScore {
+  /// Display label: the constraint name ("C3") or the paper-style cell
+  /// name ("t5[League]").
+  std::string label;
+  double shapley = 0.0;
+  /// Standard error (0 for exact computations).
+  double std_error = 0.0;
+  std::size_t num_samples = 0;
+  /// Set for cell explanations.
+  std::optional<CellRef> cell;
+  /// Set for constraint explanations.
+  std::optional<std::size_t> constraint_index;
+};
+
+/// The result of explaining one repaired cell.
+struct Explanation {
+  /// Players ranked by Shapley value, descending (ties keep player
+  /// order, so output is deterministic).
+  std::vector<PlayerScore> ranked;
+  /// The explained cell and its repair.
+  CellRef target;
+  std::string target_label;
+  Value old_value;
+  Value new_value;
+  /// Cost accounting: black-box repair invocations / memo hits.
+  std::size_t algorithm_calls = 0;
+  std::size_t cache_hits = 0;
+  /// How the values were computed: "exact", "sampling(...)" or
+  /// "topk(...)".
+  std::string method;
+
+  /// The top-k players (k clamped to size).
+  std::vector<PlayerScore> TopK(std::size_t k) const;
+
+  /// Sum of all Shapley values (= v(N) − v(∅) for exact computations —
+  /// the efficiency axiom; ≈ for sampled ones).
+  double TotalAttribution() const;
+};
+
+/// One constraint pair's interaction in an explanation (see
+/// core/interaction.h; positive = the pair acts as a complement, like
+/// the paper's C1 & C2).
+struct InteractionScore {
+  std::string label_a;
+  std::string label_b;
+  double interaction = 0.0;
+};
+
+/// Options for the constraint kinds (kConstraints, kInteractions,
+/// kRemovalSets). Constraint Shapley values are *exact* by subset
+/// enumeration by default ("the number of DCs is usually small") and
+/// fall back to permutation sampling past `max_exact_players`.
+struct ConstraintExplainerOptions {
+  /// Use exact enumeration up to this many constraints, sampling beyond.
+  std::size_t max_exact_players = 20;
+  /// Force the sampling path regardless of size (testing/ablation).
+  bool force_sampling = false;
+  /// Attribute with Banzhaf values instead of Shapley (exact path only;
+  /// Banzhaf weighs every coalition equally and drops the efficiency
+  /// axiom — a common comparison point for attribution semantics).
+  bool use_banzhaf = false;
+  /// Sampling parameters (used only on the sampling path).
+  shap::SamplingOptions sampling;
+};
+
+/// Computation method for cell explanations.
+enum class CellMethod {
+  /// Exact when the (pruned) player set is small and the policy is
+  /// kNull; sampling otherwise.
+  kAuto,
+  kExact,
+  kSampling,
+};
+
+/// Options for the cell kinds (kCells, kSingleCell, kTopKCells). Cells
+/// are ranked with the Strumbelj–Kononenko permutation sampler (Example
+/// 2.5), replacing out-of-coalition cells either with nulls
+/// (`AbsentCellPolicy::kNull`, the paper's *definition*) or with draws
+/// from their column distribution (`AbsentCellPolicy::kSampleFromColumn`,
+/// the paper's *estimator*); exact cell Shapley is available for small
+/// player sets.
+struct CellExplainerOptions {
+  CellMethod method = CellMethod::kAuto;
+  AbsentCellPolicy policy = AbsentCellPolicy::kSampleFromColumn;
+  /// Permutation sweeps for the all-cells ranking; each sweep costs
+  /// (#players + 1) black-box evaluations.
+  std::size_t num_samples = 300;
+  std::uint64_t seed = Rng::kDefaultSeed;
+  /// Restrict players to cells that can influence the target under the
+  /// algorithm's influence graph (falls back to the conservative DC
+  /// graph when the algorithm exposes none). Cells outside the player
+  /// set are reported with Shapley 0.
+  bool prune = true;
+  /// Exact-path player cap (2^n coalition values are materialized).
+  std::size_t max_exact_players = 20;
+};
 
 /// What kind of explanation a request asks for.
 enum class ExplainKind {
@@ -110,12 +209,26 @@ enum class ExplainKind {
   kRemovalSets,
   /// Single-cell contribution estimate (Example 2.5).
   kSingleCell,
+  /// Adaptive top-k cell ranking (null policy only): the sweep sampler
+  /// stops as soon as the top `ExplainRequest::top_k` cells are
+  /// CI-separated from the rest, usually far below the fixed budget a
+  /// full kCells ranking needs. Every player is still listed, with the
+  /// precision the early stop left it at. The configuration is fixed:
+  /// one sweep per shard, a separation test every 16 sweeps (z = 2, at
+  /// least 8 samples per player), and `cells.num_samples` as the sweep
+  /// budget. Of the effective anytime options only `bound`, `z` and
+  /// `delta` apply, and only when the rule is enabled; its target,
+  /// freezing, check interval and `max_sweeps` do not. `soften` ends
+  /// the run at the current round with the partial ranking. The ranking
+  /// is bit-identical at every thread count.
+  kTopKCells,
 };
 
 const char* ExplainKindToString(ExplainKind kind);
 
 /// Anytime estimation: confidence-bounded early stopping for the
-/// engine's sampled paths (kCells / kConstraints sweeps, kSingleCell).
+/// engine's sampled paths (kCells / kConstraints sweeps, kSingleCell;
+/// kTopKCells takes only `bound`, `z` and `delta` from it).
 /// When enabled, a sampled request stops at the first wave boundary
 /// where every player's confidence half-width meets the target — the
 /// per-kind `num_samples` becomes an upper bound, not a fixed spend —
@@ -163,7 +276,7 @@ struct ExplainRequest {
   ExplainKind kind = ExplainKind::kConstraints;
   /// Options for kConstraints / kInteractions / kRemovalSets.
   ConstraintExplainerOptions constraints;
-  /// Options for kCells / kSingleCell.
+  /// Options for kCells / kSingleCell / kTopKCells.
   CellExplainerOptions cells;
   /// kRemovalSets: largest removal-set size searched.
   std::size_t max_removal_set_size = 3;
@@ -171,6 +284,9 @@ struct ExplainRequest {
   /// Required for that kind — an unset value is an error, never a
   /// silent default cell.
   std::optional<CellRef> single_cell;
+  /// kTopKCells: how many leading cells must separate from the rest.
+  /// Required for that kind — 0 is an error, never a silent default.
+  std::size_t top_k = 0;
   /// Anytime estimation override for this request; unset = the engine's
   /// `EngineOptions::anytime` default applies.
   std::optional<AnytimeOptions> anytime;
@@ -188,8 +304,8 @@ struct ExplainRequest {
 };
 
 /// The engine's answer to one request. Exactly one payload field is
-/// populated, per `kind`: `explanation` for kConstraints/kCells,
-/// `interactions`, `removal_sets`, or `single_cell`.
+/// populated, per `kind`: `explanation` for kConstraints/kCells/
+/// kTopKCells, `interactions`, `removal_sets`, or `single_cell`.
 struct ExplainResult {
   ExplainKind kind = ExplainKind::kConstraints;
   CellRef target;
@@ -234,9 +350,6 @@ struct BatchStats {
   /// Hits on memo entries written by an *earlier* request — the work the
   /// batch amortized across targets.
   std::size_t cross_request_hits = 0;
-  /// Table-memo entries evicted while serving this batch (only non-zero
-  /// when `EngineOptions::max_memo_entries` caps the memo).
-  std::size_t cache_evictions = 0;
   /// Estimated resident bytes of the engine's memo caches after the
   /// batch (`BlackBoxRepair::approx_memo_bytes`).
   std::size_t approx_memo_bytes = 0;
@@ -267,12 +380,6 @@ struct EngineOptions {
   /// algorithm calls under concurrency when two shards miss the same
   /// memo key simultaneously.
   std::size_t num_threads = 1;
-  /// Entry cap for the `BlackBoxRepair` table memo (each entry stores an
-  /// input write set plus the cells where its repair disagrees with the
-  /// reference repair). 0 = unbounded. Evictions are LRU and change
-  /// only cost, never results; they are surfaced in
-  /// `BatchStats::cache_evictions` and `Engine::num_cache_evictions()`.
-  std::size_t max_memo_entries = 0;
   /// Engine-wide anytime estimation default for sampled paths; each
   /// request can override it via `ExplainRequest::anytime`.
   AnytimeOptions anytime;
@@ -291,11 +398,6 @@ class Engine {
   Engine(std::shared_ptr<const repair::RepairAlgorithm> algorithm,
          dc::DcSet dcs, std::shared_ptr<const Table> dirty,
          EngineOptions options = {});
-
-  /// Non-owning adapter for callers holding a bare reference; the
-  /// algorithm must outlive the engine.
-  static Engine Wrap(const repair::RepairAlgorithm& algorithm, dc::DcSet dcs,
-                     Table dirty, EngineOptions options = {});
 
   const Table& dirty() const { return *dirty_; }
   /// The shared dirty-table handle (for callers that want to alias it).
@@ -333,24 +435,10 @@ class Engine {
   [[nodiscard]] Result<BatchResult> ExplainBatch(const std::vector<ExplainRequest>& requests,
                                    CancelToken cancel = {});
 
-  /// Adaptive top-k cell ranking (see CellExplainer::ExplainTopK): the
-  /// sweep sampler with a `StopRule::top_k` rule, one sweep per shard
-  /// and a separation test every 16 sweeps. A round's sweeps execute
-  /// concurrently on the engine's persistent pool and the test runs on
-  /// deterministically merged statistics, so the ranking is
-  /// bit-identical at every thread count. `k` must be positive.
-  /// `soften` degrades like `ExplainRequest::soften`: finish the current
-  /// round and return the partial ranking.
-  [[nodiscard]] Result<Explanation> ExplainTopKCells(CellRef target, std::size_t k,
-                                       const CellExplainerOptions& options,
-                                       CancelToken cancel = {},
-                                       CancelToken soften = {});
-
   /// Lifetime totals across every request served by this engine.
   std::size_t num_algorithm_calls() const;
   std::size_t num_cache_hits() const;
   std::size_t num_cross_request_hits() const;
-  std::size_t num_cache_evictions() const;
   /// Estimated resident bytes of the memo caches right now (0 before
   /// the reference repair). See `BlackBoxRepair::approx_memo_bytes`.
   std::size_t approx_memo_bytes() const;
@@ -387,6 +475,7 @@ class Engine {
   [[nodiscard]] Result<std::vector<std::vector<std::string>>> ExplainRemovalSets(
       std::size_t target_index, const ConstraintExplainerOptions& options,
       std::size_t max_set_size, const CancelToken& cancel);
+  /// Serves kCells and kTopKCells (the latter always sampled).
   [[nodiscard]] Result<Explanation> ExplainCells(std::size_t target_index,
                                    const ExplainRequest& request,
                                    ExplainResult* result);

@@ -209,10 +209,6 @@ std::size_t BlackBoxRepair::num_cross_request_hits() const {
   return state_->cross_request_hits.load();
 }
 
-std::size_t BlackBoxRepair::num_memo_evictions() const {
-  return state_->evictions.load();
-}
-
 std::size_t BlackBoxRepair::num_table_memo_entries() const {
   ReaderLock lock(state_->mu);
   return state_->table_entries;
@@ -357,34 +353,6 @@ bool BlackBoxRepair::EvalConstraintSubset(std::uint64_t mask,
   return outcome;
 }
 
-void BlackBoxRepair::EvictLruTableEntry() const {
-  // O(#entries) scan for the LRU victim. Eviction only runs after a cache
-  // miss, i.e. after a full repair run, which dwarfs a scan over at most
-  // `max_memo_entries_` entries.
-  auto victim_bucket = state_->table_cache.end();
-  std::size_t victim_index = 0;
-  std::uint64_t victim_tick = 0;
-  for (auto it = state_->table_cache.begin(); it != state_->table_cache.end();
-       ++it) {
-    for (std::size_t i = 0; i < it->second.size(); ++i) {
-      const std::uint64_t used = it->second[i].last_used;
-      if (victim_bucket == state_->table_cache.end() || used < victim_tick) {
-        victim_bucket = it;
-        victim_index = i;
-        victim_tick = used;
-      }
-    }
-  }
-  TREX_CHECK(victim_bucket != state_->table_cache.end());
-  std::vector<CacheEntry>& bucket = victim_bucket->second;
-  state_->approx_bytes.fetch_sub(EntryPayloadBytes(bucket[victim_index]));
-  bucket.erase(bucket.begin() +
-               static_cast<std::ptrdiff_t>(victim_index));
-  if (bucket.empty()) state_->table_cache.erase(victim_bucket);
-  --state_->table_entries;
-  state_->evictions.fetch_add(1);
-}
-
 const Table& BlackBoxRepair::MaterializeScratch(
     std::span<const CellWrite> writes) const {
   EvalScratch& scratch = ThreadEvalScratch();
@@ -429,7 +397,7 @@ std::optional<bool> BlackBoxRepair::LookupTableMemo(
   auto it = state_->table_cache.find(fp64);
   if (it == state_->table_cache.end()) return std::nullopt;
   const std::vector<const CellWrite*>* canonical = nullptr;
-  for (CacheEntry& entry : it->second) {
+  for (const CacheEntry& entry : it->second) {
     // Never trust the 64-bit bucket fingerprint alone: a collision must
     // fall through to a fresh repair run, never return another input's
     // outcome. Verification is the 128-bit fingerprint, then the exact
@@ -437,10 +405,6 @@ std::optional<bool> BlackBoxRepair::LookupTableMemo(
     if (entry.fp128 != fp128) continue;
     if (canonical == nullptr) canonical = &CanonicalWrites(*dirty_, writes);
     if (!SameWrites(entry.writes, *canonical)) continue;
-    // Touch the LRU clock; atomic_ref because other readers may touch
-    // the same entry under the shared lock concurrently.
-    std::atomic_ref<std::uint64_t>(entry.last_used)
-        .store(state_->tick.fetch_add(1) + 1, std::memory_order_relaxed);
     return CountHit(entry, target_index);
   }
   return std::nullopt;
@@ -521,14 +485,9 @@ bool BlackBoxRepair::EvalTableMiss(std::span<const CellWrite> writes,
   entry.writes.reserve(canonical.size());
   for (const CellWrite* write : canonical) entry.writes.push_back(*write);
   entry.request_id = state_->current_request.load();
-  entry.last_used = state_->tick.fetch_add(1) + 1;
   state_->approx_bytes.fetch_add(EntryPayloadBytes(entry));
   bucket.push_back(std::move(entry));
   ++state_->table_entries;
-  while (max_memo_entries_ > 0 &&
-         state_->table_entries > max_memo_entries_) {
-    EvictLruTableEntry();
-  }
   return outcome;
 }
 

@@ -76,11 +76,10 @@
 // The memo's reader/writer discipline is machine-checked under Clang's
 // -Wthread-safety (common/thread_annotations.h): both memo maps are
 // `GUARDED_BY(CacheState::mu)` — hit scans hold it shared, inserts hold
-// it exclusive (`EvictLruTableEntry` carries the `REQUIRES`
-// pre-condition). The analysis is shallow: fields of entries *inside*
-// the maps are past its horizon, which is why the in-place LRU touch
-// under the shared lock goes through `std::atomic_ref` and stays
-// TSan-covered.
+// it exclusive. A hit only reads its entry (the counters it bumps are
+// atomics), so nothing is written under the shared lock. Both memos are
+// unbounded for the box's lifetime; the serving router's engine LRU is
+// what bounds memory across engines.
 //
 // `ConstraintGame` (players = DCs, table fixed) and `CellGame` (players =
 // cells replaced in/out, DCs fixed) adapt one target's characteristic
@@ -263,17 +262,6 @@ class BlackBoxRepair {
   /// Disables memoization (ablation experiments).
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
 
-  /// Caps the *table* memo (the large one). 0 = unbounded. When the cap
-  /// is hit, the least-recently-used entry is evicted; evicted inputs
-  /// are simply recomputed on the next miss, so results are unchanged —
-  /// only cost counters move. The mask memo is left unbounded (at most
-  /// 2^|C| entries, |C| ≤ 64 and small in practice). Must not race with
-  /// evaluations.
-  void set_max_memo_entries(std::size_t cap) { max_memo_entries_ = cap; }
-  std::size_t max_memo_entries() const { return max_memo_entries_; }
-
-  /// Table-memo entries evicted by the LRU cap so far.
-  std::size_t num_memo_evictions() const;
   /// Table-memo entries currently resident.
   std::size_t num_table_memo_entries() const;
 
@@ -305,20 +293,14 @@ class BlackBoxRepair {
     /// disagrees with the reference repair.
     std::vector<std::size_t> disagreements;
     std::size_t request_id = 0;
-    /// LRU clock value of the last touch (table-cache entries only);
-    /// written through `std::atomic_ref` so hits under the shared lock
-    /// don't race.
-    std::uint64_t last_used = 0;
   };
 
   /// Mutable memo state, boxed so `BlackBoxRepair` stays movable despite
   /// the mutex. Lookups (the steady-state path under a warm cache) take
   /// the lock shared so sampling shards hit concurrently; only inserts
   /// take it exclusive. Counters are atomics so hits need no exclusive
-  /// access. The maps are `GUARDED_BY(mu)`; entry *fields* reached
-  /// through them are beyond the (shallow) analysis — in-entry
-  /// mutations under the shared lock go through `std::atomic_ref`
-  /// (`last_used`) and stay TSan-covered.
+  /// access. The maps are `GUARDED_BY(mu)`; entries are written only
+  /// before insertion, so a hit under the shared lock is a pure read.
   struct CacheState {
     CacheState();
 
@@ -330,14 +312,10 @@ class BlackBoxRepair {
     std::atomic<std::size_t> hits{0};
     std::atomic<std::size_t> cross_request_hits{0};
     std::atomic<std::size_t> current_request{0};
-    /// LRU clock for the table memo; bumped on every hit and insert.
-    std::atomic<std::uint64_t> tick{0};
-    /// Table-memo entry count / LRU evictions (guarded by `mu` /
-    /// monotonic counter readable without it).
+    /// Table-memo entry count.
     std::size_t table_entries GUARDED_BY(mu) = 0;
-    std::atomic<std::size_t> evictions{0};
     /// Estimated resident payload of both memos (maintained under `mu`
-    /// on insert/evict; atomic so reads need no lock).
+    /// on insert; atomic so reads need no lock).
     std::atomic<std::size_t> approx_bytes{0};
     /// Full dirty-table copies made by the evaluation scratch.
     std::atomic<std::size_t> eval_table_copies{0};
@@ -356,10 +334,6 @@ class BlackBoxRepair {
   /// Records the first evaluation failure and fires the abort source
   /// (see `eval_error()`).
   void RecordEvalError(const Status& status) const;
-
-  /// Drops the least-recently-used table-memo entry. Requires a
-  /// non-empty table cache.
-  void EvictLruTableEntry() const REQUIRES(state_->mu);
 
   /// The outcome a memo entry records for one target: its cell is not
   /// among the entry's disagreements.
@@ -394,8 +368,8 @@ class BlackBoxRepair {
   /// Hit scan of the table memo: walks the `fp64` bucket under the
   /// shared lock, verifying each candidate by 128-bit fingerprint and
   /// then by canonical write set (the query is canonicalized only once
-  /// a fingerprint matches). Returns the hit outcome — counters bumped,
-  /// LRU touched — or nullopt when the caller must run the repair.
+  /// a fingerprint matches). Returns the hit outcome — counters bumped —
+  /// or nullopt when the caller must run the repair.
   std::optional<bool> LookupTableMemo(std::span<const CellWrite> writes,
                                       std::uint64_t fp64,
                                       const Hash128& fp128,
@@ -422,7 +396,6 @@ class BlackBoxRepair {
   std::vector<TargetInfo> targets_;
   std::unordered_map<CellRef, std::size_t, CellRefHash> target_index_;
   bool cache_enabled_ = true;
-  std::size_t max_memo_entries_ = 0;  // 0 = unbounded
   /// Test-only bucket-key override (null in production).
   std::function<std::uint64_t(std::uint64_t)> table_bucket_fn_;
   std::unique_ptr<CacheState> state_;

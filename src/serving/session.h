@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/explainer.h"
 #include "dc/constraint.h"
 #include "repair/algorithm.h"
 #include "serving/service.h"

@@ -68,7 +68,7 @@ struct ComparisonOptions {
   std::size_t num_targets = 4;
   /// Top-k bound for the Jaccard stability term.
   std::size_t top_k = 3;
-  /// Engine configuration (thread count, memo cap, ...).
+  /// Engine configuration (thread count, anytime default).
   EngineOptions engine;
 
   ComparisonOptions();

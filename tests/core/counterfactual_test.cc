@@ -8,7 +8,7 @@
 #include <functional>
 #include <map>
 
-#include "core/explainer.h"
+#include "core/engine.h"
 #include "core/shapley_exact.h"
 #include "data/soccer.h"
 #include "repair/soccer_algorithm1.h"
@@ -93,15 +93,31 @@ TEST(RemovalSetsTest, ZeroGrandCoalitionRejected) {
 TEST(RemovalSetsTest, PaperExampleRemovalSets) {
   // Running example: the repair of t5[Country] survives unless C3 is
   // removed together with C1 or C2.
-  auto alg = trex::repair::MakeAlgorithm1();
-  trex::ConstraintExplainer explainer;
-  auto sets = explainer.ExplainRemovalSets(
-      *alg, trex::data::SoccerConstraints(),
-      trex::data::SoccerDirtyTable(), trex::data::SoccerTargetCell());
-  ASSERT_TRUE(sets.ok()) << sets.status();
-  ASSERT_EQ(sets->size(), 2u);
-  EXPECT_EQ((*sets)[0], (std::vector<std::string>{"C1", "C3"}));
-  EXPECT_EQ((*sets)[1], (std::vector<std::string>{"C2", "C3"}));
+  trex::Engine engine(trex::repair::MakeAlgorithm1(),
+                      trex::data::SoccerConstraints(),
+                      trex::data::SoccerDirtyTable());
+  trex::ExplainRequest request;
+  request.target = trex::data::SoccerTargetCell();
+  request.kind = trex::ExplainKind::kRemovalSets;
+  auto result = engine.Explain(request);
+  ASSERT_TRUE(result.ok()) << result.status();
+  const auto& sets = result->removal_sets;
+  ASSERT_EQ(sets.size(), 2u);
+  EXPECT_EQ(sets[0], (std::vector<std::string>{"C1", "C3"}));
+  EXPECT_EQ(sets[1], (std::vector<std::string>{"C2", "C3"}));
+}
+
+/// Banzhaf attribution for the running example on a fresh engine.
+trex::Result<trex::ExplainResult> ExplainBanzhaf(bool force_sampling) {
+  trex::Engine engine(trex::repair::MakeAlgorithm1(),
+                      trex::data::SoccerConstraints(),
+                      trex::data::SoccerDirtyTable());
+  trex::ExplainRequest request;
+  request.target = trex::data::SoccerTargetCell();
+  request.kind = trex::ExplainKind::kConstraints;
+  request.constraints.use_banzhaf = true;
+  request.constraints.force_sampling = force_sampling;
+  return engine.Explain(request);
 }
 
 TEST(BanzhafTest, MatchesShapleyOnSymmetricGames) {
@@ -160,14 +176,9 @@ TEST(BanzhafTest, ConstraintExplainerBanzhafMode) {
   // {C1,C2} ⊆ S: subsets of {C1,C2,C4}: 8 total, 2 contain both C1,C2
   // -> pivotal in 6 -> 6/8 = 0.75. C1 pivotal iff C2 ∈ S, C3 ∉ S:
   // S ∈ {{C2},{C2,C4}} -> 2/8 = 0.25. C4 never pivotal -> 0.
-  auto alg = trex::repair::MakeAlgorithm1();
-  trex::ConstraintExplainerOptions options;
-  options.use_banzhaf = true;
-  trex::ConstraintExplainer explainer(options);
-  auto ex = explainer.Explain(*alg, trex::data::SoccerConstraints(),
-                              trex::data::SoccerDirtyTable(),
-                              trex::data::SoccerTargetCell());
-  ASSERT_TRUE(ex.ok()) << ex.status();
+  auto result = ExplainBanzhaf(/*force_sampling=*/false);
+  ASSERT_TRUE(result.ok()) << result.status();
+  const auto& ex = result->explanation;
   EXPECT_EQ(ex->method, "exact(banzhaf)");
   std::map<std::string, double> values;
   for (const auto& p : ex->ranked) values[p.label] = p.shapley;
@@ -180,15 +191,7 @@ TEST(BanzhafTest, ConstraintExplainerBanzhafMode) {
 }
 
 TEST(BanzhafTest, BanzhafWithSamplingRejected) {
-  auto alg = trex::repair::MakeAlgorithm1();
-  trex::ConstraintExplainerOptions options;
-  options.use_banzhaf = true;
-  options.force_sampling = true;
-  trex::ConstraintExplainer explainer(options);
-  auto ex = explainer.Explain(*alg, trex::data::SoccerConstraints(),
-                              trex::data::SoccerDirtyTable(),
-                              trex::data::SoccerTargetCell());
-  EXPECT_FALSE(ex.ok());
+  EXPECT_FALSE(ExplainBanzhaf(/*force_sampling=*/true).ok());
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 #include "repair/holoclean.h"
 #include "repair/soccer_algorithm1.h"
 #include "dc/parser.h"
+#include "serving/service.h"
+#include "serving/session.h"
 
 namespace trex {
 namespace {
@@ -41,6 +43,45 @@ ExplainRequest ConstraintRequest(CellRef target) {
   request.target = target;
   request.kind = ExplainKind::kConstraints;
   return request;
+}
+
+/// A null-policy kTopKCells request for t5[Country].
+ExplainRequest TopKRequest(std::size_t k, std::size_t num_samples,
+                           std::uint64_t seed) {
+  ExplainRequest request;
+  request.target = data::SoccerTargetCell();
+  request.kind = ExplainKind::kTopKCells;
+  request.top_k = k;
+  request.cells.policy = AbsentCellPolicy::kNull;
+  request.cells.num_samples = num_samples;
+  request.cells.seed = seed;
+  return request;
+}
+
+/// The adaptive top-1 ranking of `TopKRequest(1, 1024, 7)`: it stops at
+/// the first 16-sweep round where the leader's CI separates from the
+/// runner-up's.
+const char kTopKMethod[] = "topk(k=1, sweeps=96, separated=yes)";
+const std::vector<std::string>& TopKRanking() {
+  static const std::vector<std::string> ranking = {
+      "t5[League]", "t1[Country]", "t6[Country]", "t5[Team]",
+      "t2[Country]", "t3[Country]", "t2[City]",   "t6[Team]",
+      "t3[City]",   "t6[City]",    "t1[League]",  "t6[League]",
+      "t1[City]",   "t3[League]",  "t1[Team]",    "t2[Team]",
+      "t2[League]", "t4[Team]",    "t4[City]",    "t4[Country]",
+      "t4[League]", "t5[City]",    "t5[Country]", "t3[Team]"};
+  return ranking;
+}
+
+/// Checks an explanation against the pinned top-1 ranking.
+void ExpectPinnedTopK(const Explanation& ex) {
+  EXPECT_EQ(ex.method, kTopKMethod);
+  std::vector<std::string> labels;
+  for (const PlayerScore& score : ex.ranked) {
+    labels.push_back(score.label);
+    EXPECT_EQ(score.num_samples, 96u) << score.label;
+  }
+  EXPECT_EQ(labels, TopKRanking());
 }
 
 ExplainRequest CellsRequest(CellRef target, std::size_t num_samples,
@@ -144,38 +185,6 @@ TEST(EngineTest, BatchMatchesSerialExplainBitIdentically) {
     ASSERT_TRUE(batch->results[i].ok());
     ExpectSameExplanation(*batch->results[i]->explanation,
                           *serial->explanation);
-  }
-}
-
-TEST(EngineTest, MemoCapChangesOnlyCostNeverResults) {
-  std::vector<ExplainRequest> requests;
-  const std::vector<CellRef> targets = ThreeTargets();
-  requests.push_back(CellsRequest(targets[0], 96, 11));
-  requests.push_back(CellsRequest(targets[1], 96, 22));
-
-  Engine unbounded(Alg(), data::SoccerConstraints(), ThreeTargetDirtyTable());
-  auto baseline = unbounded.ExplainBatch(requests);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
-  EXPECT_EQ(baseline->stats.cache_evictions, 0u);
-
-  EngineOptions options;
-  options.max_memo_entries = 8;
-  Engine capped(Alg(), data::SoccerConstraints(), ThreeTargetDirtyTable(),
-                options);
-  auto capped_batch = capped.ExplainBatch(requests);
-  ASSERT_TRUE(capped_batch.ok()) << capped_batch.status();
-
-  // Eviction is a cost knob, not a semantics knob: values bit-identical,
-  // evictions surfaced, extra repair runs paid for the recomputes.
-  EXPECT_GT(capped_batch->stats.cache_evictions, 0u);
-  EXPECT_EQ(capped.num_cache_evictions(),
-            capped_batch->stats.cache_evictions);
-  EXPECT_GE(capped_batch->stats.algorithm_calls,
-            baseline->stats.algorithm_calls);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_TRUE(capped_batch->results[i].ok());
-    ExpectSameExplanation(*capped_batch->results[i]->explanation,
-                          *baseline->results[i]->explanation);
   }
 }
 
@@ -690,34 +699,80 @@ TEST(EngineTest, SingleCellAnswersArePinned) {
 }
 
 TEST(EngineTest, TopKCellRankingIsPinned) {
-  // The adaptive top-1 ranking stops at the first 16-sweep round where
-  // the leader's CI separates from the runner-up's.
-  const std::vector<std::string> ranking = {
-      "t5[League]", "t1[Country]", "t6[Country]", "t5[Team]",
-      "t2[Country]", "t3[Country]", "t2[City]",   "t6[Team]",
-      "t3[City]",   "t6[City]",    "t1[League]",  "t6[League]",
-      "t1[City]",   "t3[League]",  "t1[Team]",    "t2[Team]",
-      "t2[League]", "t4[Team]",    "t4[City]",    "t4[Country]",
-      "t4[League]", "t5[City]",    "t5[Country]", "t3[Team]"};
   for (const std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE(testing::Message() << "threads=" << num_threads);
     EngineOptions options;
     options.num_threads = num_threads;
     Engine engine(Alg(), data::SoccerConstraints(), data::SoccerDirtyTable(),
                   options);
-    CellExplainerOptions cells;
-    cells.policy = AbsentCellPolicy::kNull;
-    cells.num_samples = 1024;
-    cells.seed = 7;
-    auto ex = engine.ExplainTopKCells(data::SoccerTargetCell(), 1, cells);
-    ASSERT_TRUE(ex.ok()) << ex.status();
-    EXPECT_EQ(ex->method, "topk(k=1, sweeps=96, separated=yes)");
-    std::vector<std::string> labels;
-    for (const PlayerScore& score : ex->ranked) {
-      labels.push_back(score.label);
-      EXPECT_EQ(score.num_samples, 96u) << score.label;
-    }
-    EXPECT_EQ(labels, ranking);
+    auto result = engine.Explain(TopKRequest(1, 1024, 7));
+    ASSERT_TRUE(result.ok()) << result.status();
+    ExpectPinnedTopK(*result->explanation);
+    // The sweep telemetry every sampled kind reports.
+    EXPECT_EQ(result->sweeps, 96u);
+    EXPECT_TRUE(result->early_stopped);
+    EXPECT_FALSE(result->approximate);
+    EXPECT_TRUE(result->achieved_ci_half_width.has_value());
+  }
+}
+
+TEST(EngineTest, TopKCellsThroughTheServingPath) {
+  // The session's batch path and the service's submit-and-wait path
+  // serve kTopKCells with the engine's pinned answer.
+  TRexSession session(Alg(), data::SoccerConstraints(),
+                      data::SoccerDirtyTable());
+  ASSERT_TRUE(session.Repair().ok());
+  auto batch = session.ExplainBatch({TopKRequest(1, 1024, 7)});
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  ASSERT_TRUE(batch->results[0].ok()) << batch->results[0].status();
+  ExpectPinnedTopK(*batch->results[0]->explanation);
+  EXPECT_EQ(batch->stats.sweeps, 96u);
+  EXPECT_EQ(batch->stats.early_stopped_requests, 1u);
+
+  serving::ExplainService service;
+  auto result = service.ExplainSync(
+      Alg(), data::SoccerConstraints(),
+      std::make_shared<const Table>(data::SoccerDirtyTable()),
+      TopKRequest(1, 1024, 7));
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->kind, ExplainKind::kTopKCells);
+  ExpectPinnedTopK(*result->explanation);
+}
+
+TEST(EngineTest, TopKCellsAppliesTheAnytimeDelta) {
+  // Under the Bernstein bound the separation width depends on delta: a
+  // tiny delta widens every interval, so the leader no longer separates
+  // within the budget.
+  struct Case {
+    double delta;
+    const char* method;
+  };
+  const Case cases[] = {
+      {0.05, "topk(k=1, sweeps=1088, separated=yes)"},
+      {1e-9, "topk(k=1, sweeps=4096, separated=no)"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "delta=" << c.delta);
+    AnytimeOptions anytime;
+    anytime.target_ci_half_width = 0.5;
+    anytime.bound = shap::BoundKind::kBernstein;
+    anytime.delta = c.delta;
+    // The engine default and a per-request override behave alike.
+    EngineOptions options;
+    options.anytime = anytime;
+    Engine by_default(Alg(), data::SoccerConstraints(),
+                      data::SoccerDirtyTable(), options);
+    auto result = by_default.Explain(TopKRequest(1, 4096, 7));
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->explanation->method, c.method);
+
+    Engine by_request(Alg(), data::SoccerConstraints(),
+                      data::SoccerDirtyTable());
+    ExplainRequest request = TopKRequest(1, 4096, 7);
+    request.anytime = anytime;
+    auto overridden = by_request.Explain(request);
+    ASSERT_TRUE(overridden.ok()) << overridden.status();
+    EXPECT_EQ(overridden->explanation->method, c.method);
   }
 }
 
@@ -766,21 +821,31 @@ TEST(EngineTest, ZeroSweepBudgetRejectedBeforeTheReferenceRepair) {
 }
 
 TEST(EngineTest, TopKCellsRejectsZeroK) {
-  // A zero k or a zero sweep budget is rejected before the reference
-  // repair is paid for.
-  CellExplainerOptions cells;
-  cells.policy = AbsentCellPolicy::kNull;
-  CellExplainerOptions no_sweeps = cells;
-  no_sweeps.num_samples = 0;
-  const std::pair<std::size_t, CellExplainerOptions> cases[] = {
-      {0, cells}, {1, no_sweeps}};
-  for (const auto& [k, options] : cases) {
-    SCOPED_TRACE(testing::Message() << "k=" << k << " num_samples="
-                                    << options.num_samples);
+  // A zero k, a zero sweep budget, a column-sample policy or an
+  // out-of-range target is rejected before the reference repair is paid
+  // for.
+  ExplainRequest no_sweeps = TopKRequest(1, 0, 7);
+  ExplainRequest column_sample = TopKRequest(1, 1024, 7);
+  column_sample.cells.policy = AbsentCellPolicy::kSampleFromColumn;
+  ExplainRequest outside = TopKRequest(1, 1024, 7);
+  outside.target = CellRef{77, 0};
+  struct Case {
+    const char* name;
+    ExplainRequest request;
+    StatusCode code;
+  };
+  const Case cases[] = {
+      {"k=0", TopKRequest(0, 1024, 7), StatusCode::kInvalidArgument},
+      {"num_samples=0", no_sweeps, StatusCode::kInvalidArgument},
+      {"column-sample", column_sample, StatusCode::kInvalidArgument},
+      {"outside", outside, StatusCode::kOutOfRange},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
     Engine engine(Alg(), data::SoccerConstraints(), data::SoccerDirtyTable());
-    auto ex = engine.ExplainTopKCells(data::SoccerTargetCell(), k, options);
-    ASSERT_FALSE(ex.ok());
-    EXPECT_EQ(ex.status().code(), StatusCode::kInvalidArgument);
+    auto result = engine.Explain(c.request);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), c.code);
     EXPECT_EQ(engine.num_algorithm_calls(), 0u);
   }
 }
@@ -795,6 +860,8 @@ TEST(EngineTest, ExplainKindNames) {
                "removal-sets");
   EXPECT_STREQ(ExplainKindToString(ExplainKind::kSingleCell),
                "single-cell");
+  EXPECT_STREQ(ExplainKindToString(ExplainKind::kTopKCells),
+               "top-k-cells");
 }
 
 }  // namespace

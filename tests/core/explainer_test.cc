@@ -1,10 +1,15 @@
-#include "core/explainer.h"
+// Constraint and cell explanations through `Engine::Explain`, one
+// fresh engine per request: the paper's §2.2–§2.3 rankings, their
+// metadata, and the request validation of each kind.
+
+#include "core/engine.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "core/shapley_exact.h"
@@ -20,6 +25,46 @@ std::shared_ptr<repair::RuleRepair> Alg() {
   return alg;
 }
 
+/// Serves `request` on a fresh engine over (alg, dcs, dirty).
+Result<ExplainResult> Serve(
+    const ExplainRequest& request,
+    const dc::DcSet& dcs = data::SoccerConstraints(),
+    std::shared_ptr<const repair::RepairAlgorithm> alg = Alg(),
+    Table dirty = data::SoccerDirtyTable()) {
+  Engine engine(std::move(alg), dcs, std::move(dirty));
+  return engine.Explain(request);
+}
+
+/// The explanation payload of a fresh-engine request.
+Result<Explanation> ExplainWith(
+    const ExplainRequest& request,
+    const dc::DcSet& dcs = data::SoccerConstraints(),
+    std::shared_ptr<const repair::RepairAlgorithm> alg = Alg(),
+    Table dirty = data::SoccerDirtyTable()) {
+  TREX_ASSIGN_OR_RETURN(ExplainResult result,
+                        Serve(request, dcs, std::move(alg), std::move(dirty)));
+  return std::move(*result.explanation);
+}
+
+ExplainRequest ConstraintRequest(ConstraintExplainerOptions options = {},
+                                 CellRef target = data::SoccerTargetCell()) {
+  ExplainRequest request;
+  request.target = target;
+  request.kind = ExplainKind::kConstraints;
+  request.constraints = options;
+  return request;
+}
+
+ExplainRequest CellRequest(CellExplainerOptions options,
+                           ExplainKind kind = ExplainKind::kCells,
+                           CellRef target = data::SoccerTargetCell()) {
+  ExplainRequest request;
+  request.target = target;
+  request.kind = kind;
+  request.cells = options;
+  return request;
+}
+
 std::map<std::string, double> AsMap(const Explanation& ex) {
   std::map<std::string, double> out;
   for (const PlayerScore& p : ex.ranked) out[p.label] = p.shapley;
@@ -27,10 +72,7 @@ std::map<std::string, double> AsMap(const Explanation& ex) {
 }
 
 TEST(ConstraintExplainerTest, ReproducesFigure1Exactly) {
-  ConstraintExplainer explainer;
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+  auto ex = ExplainWith(ConstraintRequest());
   ASSERT_TRUE(ex.ok()) << ex.status();
   const auto values = AsMap(*ex);
   EXPECT_NEAR(values.at("C1"), 1.0 / 6.0, 1e-12);
@@ -42,10 +84,7 @@ TEST(ConstraintExplainerTest, ReproducesFigure1Exactly) {
 }
 
 TEST(ConstraintExplainerTest, ExplanationMetadata) {
-  ConstraintExplainer explainer;
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+  auto ex = ExplainWith(ConstraintRequest());
   ASSERT_TRUE(ex.ok());
   EXPECT_EQ(ex->target_label, "t5[Country]");
   EXPECT_EQ(ex->old_value, Value("España"));
@@ -57,10 +96,7 @@ TEST(ConstraintExplainerTest, ExplanationMetadata) {
 }
 
 TEST(ConstraintExplainerTest, TopKClamps) {
-  ConstraintExplainer explainer;
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+  auto ex = ExplainWith(ConstraintRequest());
   ASSERT_TRUE(ex.ok());
   EXPECT_EQ(ex->TopK(2).size(), 2u);
   EXPECT_EQ(ex->TopK(100).size(), 4u);
@@ -68,19 +104,13 @@ TEST(ConstraintExplainerTest, TopKClamps) {
 }
 
 TEST(ConstraintExplainerTest, UnrepairedCellRejected) {
-  ConstraintExplainer explainer;
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerCell(1, "Team"));
+  auto ex = ExplainWith(ConstraintRequest({}, data::SoccerCell(1, "Team")));
   EXPECT_FALSE(ex.ok());
   EXPECT_EQ(ex.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ConstraintExplainerTest, EmptyDcSetRejected) {
-  ConstraintExplainer explainer;
-  auto ex = explainer.Explain(*Alg(), dc::DcSet{},
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+  auto ex = ExplainWith(ConstraintRequest(), dc::DcSet{});
   EXPECT_FALSE(ex.ok());
 }
 
@@ -89,10 +119,7 @@ TEST(ConstraintExplainerTest, SamplingPathApproximatesExact) {
   options.force_sampling = true;
   options.sampling.num_samples = 2000;
   options.sampling.seed = 31;
-  ConstraintExplainer explainer(options);
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+  auto ex = ExplainWith(ConstraintRequest(options));
   ASSERT_TRUE(ex.ok());
   const auto values = AsMap(*ex);
   EXPECT_NEAR(values.at("C3"), 2.0 / 3.0, 0.05);
@@ -109,10 +136,7 @@ TEST(CellExplainerTest, NullPolicyRanksT5LeagueFirst) {
   options.method = CellMethod::kSampling;
   options.num_samples = 600;
   options.seed = 37;
-  CellExplainer explainer(options);
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+  auto ex = ExplainWith(CellRequest(options));
   ASSERT_TRUE(ex.ok()) << ex.status();
   EXPECT_EQ(ex->ranked[0].label, "t5[League]");
 }
@@ -123,10 +147,7 @@ TEST(CellExplainerTest, T5LeagueBeatsT6City) {
   options.method = CellMethod::kSampling;
   options.num_samples = 600;
   options.seed = 41;
-  CellExplainer explainer(options);
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+  auto ex = ExplainWith(CellRequest(options));
   ASSERT_TRUE(ex.ok());
   const auto values = AsMap(*ex);
   EXPECT_GT(values.at("t5[League]"), values.at("t6[City]"));
@@ -137,10 +158,7 @@ TEST(CellExplainerTest, PruningExcludesPlaceAndYear) {
   options.policy = AbsentCellPolicy::kNull;
   options.method = CellMethod::kSampling;
   options.num_samples = 50;
-  CellExplainer explainer(options);
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+  auto ex = ExplainWith(CellRequest(options));
   ASSERT_TRUE(ex.ok());
   // 24 players: {Team, City, Country, League} x 6 rows.
   EXPECT_EQ(ex->ranked.size(), 24u);
@@ -156,10 +174,7 @@ TEST(CellExplainerTest, NoPruningCoversAllCells) {
   options.method = CellMethod::kSampling;
   options.num_samples = 30;
   options.prune = false;
-  CellExplainer explainer(options);
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+  auto ex = ExplainWith(CellRequest(options));
   ASSERT_TRUE(ex.ok());
   EXPECT_EQ(ex->ranked.size(), 36u);
 }
@@ -173,10 +188,7 @@ TEST(CellExplainerTest, PrunedCellsHaveZeroShapley) {
   options.num_samples = 200;
   options.prune = false;
   options.seed = 43;
-  CellExplainer explainer(options);
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+  auto ex = ExplainWith(CellRequest(options));
   ASSERT_TRUE(ex.ok());
   const auto values = AsMap(*ex);
   EXPECT_NEAR(values.at("t1[Place]"), 0.0, 1e-12);
@@ -203,7 +215,7 @@ C2: !(t1.City == t2.City & t1.Country != t2.Country)
   std::vector<repair::RepairRule> rules{
       {"C1", repair::RuleAction::kSetMostCommon, "City", ""},
       {"C2", repair::RuleAction::kSetMostCommonGiven, "Country", "City"}};
-  repair::RuleRepair alg("mini", rules);
+  auto alg = std::make_shared<repair::RuleRepair>("mini", rules);
   // Reference repair: t2[City] "Capital" -> ... most common city is
   // tie Madrid/Capital -> "Capital" wins? Counts: Madrid 1, Capital 1;
   // tie-break toward smaller value = "Capital". To avoid a degenerate
@@ -217,8 +229,9 @@ C2: !(t1.City == t2.City & t1.Country != t2.Country)
   exact_options.policy = AbsentCellPolicy::kNull;
   exact_options.method = CellMethod::kExact;
   exact_options.prune = false;
-  CellExplainer exact(exact_options);
-  auto exact_ex = exact.Explain(alg, *dcs, dirty, target);
+  auto exact_ex = ExplainWith(
+      CellRequest(exact_options, ExplainKind::kCells, target), *dcs, alg,
+      dirty);
   ASSERT_TRUE(exact_ex.ok()) << exact_ex.status();
 
   CellExplainerOptions sampling_options;
@@ -227,8 +240,9 @@ C2: !(t1.City == t2.City & t1.Country != t2.Country)
   sampling_options.num_samples = 4000;
   sampling_options.prune = false;
   sampling_options.seed = 47;
-  CellExplainer sampling(sampling_options);
-  auto sampled_ex = sampling.Explain(alg, *dcs, dirty, target);
+  auto sampled_ex = ExplainWith(
+      CellRequest(sampling_options, ExplainKind::kCells, target), *dcs, alg,
+      dirty);
   ASSERT_TRUE(sampled_ex.ok());
 
   const auto exact_map = AsMap(*exact_ex);
@@ -242,10 +256,7 @@ TEST(CellExplainerTest, ExactRejectsColumnSamplePolicy) {
   CellExplainerOptions options;
   options.method = CellMethod::kExact;
   options.policy = AbsentCellPolicy::kSampleFromColumn;
-  CellExplainer explainer(options);
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+  auto ex = ExplainWith(CellRequest(options));
   EXPECT_FALSE(ex.ok());
 }
 
@@ -254,10 +265,7 @@ TEST(CellExplainerTest, AutoPicksSamplingForLargePlayerSets) {
   options.method = CellMethod::kAuto;
   options.policy = AbsentCellPolicy::kNull;
   options.num_samples = 20;
-  CellExplainer explainer(options);
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+  auto ex = ExplainWith(CellRequest(options));
   ASSERT_TRUE(ex.ok());
   // 24 players > max_exact_players (20) => sampling.
   EXPECT_NE(ex->method.find("sampling"), std::string::npos);
@@ -267,13 +275,8 @@ TEST(CellExplainerTest, DeterministicForSeed) {
   CellExplainerOptions options;
   options.num_samples = 50;
   options.seed = 53;
-  CellExplainer explainer(options);
-  auto a = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                             data::SoccerDirtyTable(),
-                             data::SoccerTargetCell());
-  auto b = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                             data::SoccerDirtyTable(),
-                             data::SoccerTargetCell());
+  auto a = ExplainWith(CellRequest(options));
+  auto b = ExplainWith(CellRequest(options));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->ranked.size(), b->ranked.size());
@@ -302,27 +305,24 @@ TEST(CellExplainerTest, SingleCellEstimatorMatchesSweep) {
     options.policy = c.policy;
     options.num_samples = 2000;
     options.seed = 59;
-    CellExplainer explainer(options);
-    auto single = explainer.ExplainSingleCell(
-        *Alg(), data::SoccerConstraints(), data::SoccerDirtyTable(),
-        data::SoccerTargetCell(), c.cell);
-    ASSERT_TRUE(single.ok()) << single.status();
+    ExplainRequest request = CellRequest(options, ExplainKind::kSingleCell);
+    request.single_cell = c.cell;
+    auto result = Serve(request);
+    ASSERT_TRUE(result.ok()) << result.status();
+    const PlayerScore& single = *result->single_cell;
 
     options.method = CellMethod::kSampling;
-    CellExplainer sweeper(options);
-    auto sweep = sweeper.Explain(*Alg(), data::SoccerConstraints(),
-                                 data::SoccerDirtyTable(),
-                                 data::SoccerTargetCell());
+    auto sweep = ExplainWith(CellRequest(options));
     ASSERT_TRUE(sweep.ok()) << sweep.status();
     const auto it = std::find_if(
         sweep->ranked.begin(), sweep->ranked.end(),
         [&label](const PlayerScore& score) { return score.label == label; });
     ASSERT_NE(it, sweep->ranked.end());
-    EXPECT_EQ(single->num_samples, 2000u);
+    EXPECT_EQ(single.num_samples, 2000u);
     EXPECT_EQ(it->num_samples, 2000u);
-    EXPECT_GT(single->std_error, 0.0);
-    EXPECT_NEAR(single->shapley, it->shapley,
-                4.0 * std::hypot(single->std_error, it->std_error));
+    EXPECT_GT(single.std_error, 0.0);
+    EXPECT_NEAR(single.shapley, it->shapley,
+                4.0 * std::hypot(single.std_error, it->std_error));
   }
 }
 
@@ -330,20 +330,17 @@ TEST(CellExplainerTest, SingleCellForIrrelevantCellIsZero) {
   CellExplainerOptions options;
   options.policy = AbsentCellPolicy::kNull;
   options.num_samples = 100;
-  CellExplainer explainer(options);
-  auto score = explainer.ExplainSingleCell(
-      *Alg(), data::SoccerConstraints(), data::SoccerDirtyTable(),
-      data::SoccerTargetCell(), data::SoccerCell(1, "Place"));
-  ASSERT_TRUE(score.ok());
-  EXPECT_NEAR(score->shapley, 0.0, 1e-12);
+  ExplainRequest request = CellRequest(options, ExplainKind::kSingleCell);
+  request.single_cell = data::SoccerCell(1, "Place");
+  auto result = Serve(request);
+  ASSERT_TRUE(result.ok());
+  EXPECT_NEAR(result->single_cell->shapley, 0.0, 1e-12);
 }
 
 TEST(CellExplainerTest, SingleCellOutOfRangeRejected) {
-  CellExplainer explainer;
-  auto score = explainer.ExplainSingleCell(
-      *Alg(), data::SoccerConstraints(), data::SoccerDirtyTable(),
-      data::SoccerTargetCell(), CellRef{77, 0});
-  EXPECT_FALSE(score.ok());
+  ExplainRequest request = CellRequest({}, ExplainKind::kSingleCell);
+  request.single_cell = CellRef{77, 0};
+  EXPECT_FALSE(Serve(request).ok());
 }
 
 TEST(CellExplainerTest, TopKFindsLeagueFirstAndStopsEarly) {
@@ -351,10 +348,9 @@ TEST(CellExplainerTest, TopKFindsLeagueFirstAndStopsEarly) {
   options.policy = AbsentCellPolicy::kNull;
   options.num_samples = 2000;  // budget cap; should stop far earlier
   options.seed = 97;
-  CellExplainer explainer(options);
-  auto ex = explainer.ExplainTopK(*Alg(), data::SoccerConstraints(),
-                                  data::SoccerDirtyTable(),
-                                  data::SoccerTargetCell(), /*k=*/1);
+  ExplainRequest request = CellRequest(options, ExplainKind::kTopKCells);
+  request.top_k = 1;
+  auto ex = ExplainWith(request);
   ASSERT_TRUE(ex.ok()) << ex.status();
   EXPECT_EQ(ex->ranked[0].label, "t5[League]");
   EXPECT_NE(ex->method.find("topk(k=1"), std::string::npos);
@@ -366,21 +362,18 @@ TEST(CellExplainerTest, TopKFindsLeagueFirstAndStopsEarly) {
 TEST(CellExplainerTest, TopKRejectsColumnSamplePolicy) {
   CellExplainerOptions options;
   options.policy = AbsentCellPolicy::kSampleFromColumn;
-  CellExplainer explainer(options);
-  auto ex = explainer.ExplainTopK(*Alg(), data::SoccerConstraints(),
-                                  data::SoccerDirtyTable(),
-                                  data::SoccerTargetCell(), 1);
-  EXPECT_FALSE(ex.ok());
+  ExplainRequest request = CellRequest(options, ExplainKind::kTopKCells);
+  request.top_k = 1;
+  EXPECT_FALSE(Serve(request).ok());
 }
 
 TEST(CellExplainerTest, TopKRejectsUnrepairedTarget) {
   CellExplainerOptions options;
   options.policy = AbsentCellPolicy::kNull;
-  CellExplainer explainer(options);
-  auto ex = explainer.ExplainTopK(*Alg(), data::SoccerConstraints(),
-                                  data::SoccerDirtyTable(),
-                                  data::SoccerCell(1, "Team"), 1);
-  EXPECT_FALSE(ex.ok());
+  ExplainRequest request = CellRequest(options, ExplainKind::kTopKCells,
+                                       data::SoccerCell(1, "Team"));
+  request.top_k = 1;
+  EXPECT_FALSE(Serve(request).ok());
 }
 
 TEST(AbsentCellPolicyTest, Names) {

@@ -6,7 +6,7 @@
 #include <functional>
 #include <map>
 
-#include "core/explainer.h"
+#include "core/engine.h"
 #include "core/repair_game.h"
 #include "data/soccer.h"
 #include "repair/soccer_algorithm1.h"
@@ -119,18 +119,28 @@ TEST(InteractionTest, SmallGamesAndErrors) {
   EXPECT_FALSE(ComputeShapleyInteractions(big).ok());
 }
 
+/// Constraint-pair interactions for `target` on a fresh engine.
+trex::Result<trex::ExplainResult> ExplainInteractions(
+    const trex::dc::DcSet& dcs, trex::CellRef target) {
+  trex::Engine engine(trex::repair::MakeAlgorithm1(), dcs,
+                      trex::data::SoccerDirtyTable());
+  trex::ExplainRequest request;
+  request.target = target;
+  request.kind = trex::ExplainKind::kInteractions;
+  return engine.Explain(request);
+}
+
 TEST(InteractionTest, PaperPairReadingOfExample23) {
   // The running example: C1 and C2 are complements (each useless alone
   // for t5[Country], jointly sufficient); C3 substitutes for the pair;
   // C4 interacts with nothing.
-  auto alg = trex::repair::MakeAlgorithm1();
-  trex::ConstraintExplainer explainer;
-  auto interactions = explainer.ExplainInteractions(
-      *alg, trex::data::SoccerConstraints(),
-      trex::data::SoccerDirtyTable(), trex::data::SoccerTargetCell());
-  ASSERT_TRUE(interactions.ok()) << interactions.status();
+  auto result = ExplainInteractions(trex::data::SoccerConstraints(),
+                                    trex::data::SoccerTargetCell());
+  ASSERT_TRUE(result.ok()) << result.status();
+  const std::vector<trex::InteractionScore>& interactions =
+      result->interactions;
   std::map<std::pair<std::string, std::string>, double> by_pair;
-  for (const trex::InteractionScore& score : *interactions) {
+  for (const trex::InteractionScore& score : interactions) {
     by_pair[{score.label_a, score.label_b}] = score.interaction;
   }
   EXPECT_GT(by_pair.at({"C1", "C2"}), 0.0);   // complements
@@ -140,22 +150,19 @@ TEST(InteractionTest, PaperPairReadingOfExample23) {
   EXPECT_NEAR(by_pair.at({"C2", "C4"}), 0.0, 1e-12);
   EXPECT_NEAR(by_pair.at({"C3", "C4"}), 0.0, 1e-12);
   // Ranked by |interaction|: the C4 pairs come last.
-  EXPECT_EQ(interactions->back().interaction, 0.0);
+  EXPECT_EQ(interactions.back().interaction, 0.0);
 }
 
 TEST(InteractionTest, ExplainInteractionsErrors) {
-  auto alg = trex::repair::MakeAlgorithm1();
-  trex::ConstraintExplainer explainer;
   // Unrepaired target rejected.
-  auto bad = explainer.ExplainInteractions(
-      *alg, trex::data::SoccerConstraints(),
-      trex::data::SoccerDirtyTable(), trex::data::SoccerCell(1, "Team"));
-  EXPECT_FALSE(bad.ok());
+  EXPECT_FALSE(ExplainInteractions(trex::data::SoccerConstraints(),
+                                   trex::data::SoccerCell(1, "Team"))
+                   .ok());
   // Fewer than 2 constraints rejected.
-  auto single = explainer.ExplainInteractions(
-      *alg, trex::data::SoccerConstraints().Subset(0b0100),
-      trex::data::SoccerDirtyTable(), trex::data::SoccerTargetCell());
-  EXPECT_FALSE(single.ok());
+  EXPECT_FALSE(
+      ExplainInteractions(trex::data::SoccerConstraints().Subset(0b0100),
+                          trex::data::SoccerTargetCell())
+          .ok());
 }
 
 TEST(InteractionTest, ShardedWalkBitIdenticalForEveryThreadCount) {

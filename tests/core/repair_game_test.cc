@@ -114,58 +114,6 @@ TEST(BlackBoxRepairTest, CacheCanBeDisabled) {
   EXPECT_EQ(box->num_cache_hits(), 0u);
 }
 
-TEST(BlackBoxRepairTest, TableMemoCapEvictsLruAndKeepsResults) {
-  auto box = MakeBox(data::SoccerTargetCell());
-  ASSERT_TRUE(box.ok());
-  box->set_max_memo_entries(4);
-
-  // Ten distinct perturbed tables: the memo keeps at most 4.
-  std::vector<Table> tables;
-  std::vector<bool> outcomes;
-  for (std::size_t i = 0; i < 10; ++i) {
-    Table perturbed = data::SoccerDirtyTable();
-    perturbed.Set(CellRef{i % perturbed.num_rows(), 0},
-                  Value("perturbed-" + std::to_string(i)));
-    outcomes.push_back(box->EvalTable(perturbed));
-    tables.push_back(std::move(perturbed));
-  }
-  EXPECT_LE(box->num_table_memo_entries(), 4u);
-  EXPECT_EQ(box->num_memo_evictions(), 6u);
-
-  // Evicted inputs recompute on the next miss — same outcome, one more
-  // call; the most recent entries are still hits.
-  const std::size_t calls = box->num_algorithm_calls();
-  EXPECT_EQ(box->EvalTable(tables[0]), outcomes[0]);
-  EXPECT_EQ(box->num_algorithm_calls(), calls + 1);
-  const std::size_t hits = box->num_cache_hits();
-  EXPECT_EQ(box->EvalTable(tables[9]), outcomes[9]);
-  EXPECT_GE(box->num_cache_hits(), hits + 1);
-}
-
-TEST(BlackBoxRepairTest, LruTouchOnHitProtectsHotEntries) {
-  auto box = MakeBox(data::SoccerTargetCell());
-  ASSERT_TRUE(box.ok());
-  box->set_max_memo_entries(2);
-
-  Table hot = data::SoccerDirtyTable();
-  hot.Set(CellRef{0, 0}, Value("hot"));
-  Table warm = data::SoccerDirtyTable();
-  warm.Set(CellRef{1, 0}, Value("warm"));
-  box->EvalTable(hot);
-  box->EvalTable(warm);
-  // Touch `hot` so `warm` is the LRU victim for the next insert.
-  box->EvalTable(hot);
-  Table cold = data::SoccerDirtyTable();
-  cold.Set(CellRef{2, 0}, Value("cold"));
-  box->EvalTable(cold);
-
-  const std::size_t calls = box->num_algorithm_calls();
-  box->EvalTable(hot);  // still memoized
-  EXPECT_EQ(box->num_algorithm_calls(), calls);
-  box->EvalTable(warm);  // evicted: recomputes
-  EXPECT_EQ(box->num_algorithm_calls(), calls + 1);
-}
-
 TEST(BlackBoxRepairTest, EvalTableWithNulledTarget) {
   auto box = MakeBox(data::SoccerTargetCell());
   ASSERT_TRUE(box.ok());

@@ -137,9 +137,9 @@ TEST(TopKTest, EstimatesAgreeWithExact) {
 }
 
 TEST(TopKTest, Validation) {
-  // k == 0 is rejected by Engine::ExplainTopKCells (engine_test); here
-  // the sweep estimator itself rejects an empty budget and answers an
-  // empty game with no estimates.
+  // k == 0 is rejected by the engine's kTopKCells validation
+  // (engine_test); here the sweep estimator itself rejects an empty
+  // budget and answers an empty game with no estimates.
   const LambdaGame game = GloveGame();
   EXPECT_FALSE(EstimateShapleyAllPlayers(game, TopK(1, 16, 0)).ok());
   LambdaGame empty(0, [](std::uint64_t) { return 0.0; });

@@ -12,7 +12,7 @@
 #include <cmath>
 #include <map>
 
-#include "core/explainer.h"
+#include "core/engine.h"
 #include "core/repair_game.h"
 #include "core/shapley_exact.h"
 #include "data/soccer.h"
@@ -26,14 +26,20 @@ std::shared_ptr<repair::RuleRepair> Alg() {
   return alg;
 }
 
-std::map<std::string, double> Constraints() {
-  ConstraintExplainer explainer;
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
-  EXPECT_TRUE(ex.ok()) << ex.status();
+/// Exact constraint Shapley values for t5[Country] on a fresh engine.
+std::map<std::string, double> Constraints(
+    const dc::DcSet& dcs = data::SoccerConstraints()) {
+  Engine engine(Alg(), dcs, data::SoccerDirtyTable());
+  ExplainRequest request;
+  request.target = data::SoccerTargetCell();
+  request.kind = ExplainKind::kConstraints;
+  auto result = engine.Explain(request);
+  EXPECT_TRUE(result.ok()) << result.status();
   std::map<std::string, double> out;
-  for (const PlayerScore& p : ex->ranked) out[p.label] = p.shapley;
+  if (!result.ok()) return out;
+  for (const PlayerScore& p : result->explanation->ranked) {
+    out[p.label] = p.shapley;
+  }
   return out;
 }
 
@@ -124,21 +130,22 @@ TEST(PaperClaims, Example24CoalitionCounts) {
 // t5[League] is the top-ranked cell, t5[League] > t6[City], and
 // t1[Place] contributes 0.
 TEST(PaperClaims, Example24CellRanking) {
-  CellExplainerOptions options;
-  options.policy = AbsentCellPolicy::kNull;
-  options.method = CellMethod::kSampling;
-  options.num_samples = 800;
-  options.seed = 61;
-  options.prune = false;  // include t1[Place] so we can check it
-  CellExplainer explainer(options);
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
-  ASSERT_TRUE(ex.ok()) << ex.status();
+  ExplainRequest request;
+  request.target = data::SoccerTargetCell();
+  request.kind = ExplainKind::kCells;
+  request.cells.policy = AbsentCellPolicy::kNull;
+  request.cells.method = CellMethod::kSampling;
+  request.cells.num_samples = 800;
+  request.cells.seed = 61;
+  request.cells.prune = false;  // include t1[Place] so we can check it
+  Engine engine(Alg(), data::SoccerConstraints(), data::SoccerDirtyTable());
+  auto result = engine.Explain(request);
+  ASSERT_TRUE(result.ok()) << result.status();
+  const Explanation& ex = *result->explanation;
   std::map<std::string, double> values;
-  for (const PlayerScore& p : ex->ranked) values[p.label] = p.shapley;
+  for (const PlayerScore& p : ex.ranked) values[p.label] = p.shapley;
 
-  EXPECT_EQ(ex->ranked[0].label, "t5[League]");
+  EXPECT_EQ(ex.ranked[0].label, "t5[League]");
   EXPECT_GT(values.at("t5[League]"), values.at("t6[City]"));
   EXPECT_NEAR(values.at("t1[Place]"), 0.0, 1e-12);
 }
@@ -209,14 +216,9 @@ TEST(PaperClaims, Section23SamplingConvergence) {
 // §3: "the user can continue the process by changing the DCs or values
 // in T^d" — removing the top-ranked DC changes the explanation.
 TEST(PaperClaims, Section3IterationLoop) {
-  const dc::DcSet without_c3 = data::SoccerConstraints().Without(2);
-  ConstraintExplainer explainer;
-  auto ex = explainer.Explain(*Alg(), without_c3, data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
-  ASSERT_TRUE(ex.ok());
+  const auto values = Constraints(data::SoccerConstraints().Without(2));
+  ASSERT_FALSE(values.empty());
   // With C3 gone, C1 and C2 carry the whole repair: 1/2 each.
-  std::map<std::string, double> values;
-  for (const PlayerScore& p : ex->ranked) values[p.label] = p.shapley;
   EXPECT_NEAR(values.at("C1"), 0.5, 1e-12);
   EXPECT_NEAR(values.at("C2"), 0.5, 1e-12);
   EXPECT_NEAR(values.at("C4"), 0.0, 1e-12);
